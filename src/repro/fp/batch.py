@@ -34,17 +34,34 @@ Correctness sketch (all arrays are binary64):
   NaN/infinity operands, non-RNE rounding, non-IEEE guest formats, and
   dot products whose accumulation leaves the double-double window.
   Callers re-run those lanes through the scalar core.
+
+The same argument, one value at a time, gives the fast-path engine
+(:mod:`repro.sim.blocks`) its FP core: :func:`scalar_ops` returns
+add/sub/mul/fma over Python floats (which are binary64) that decode
+exactly through ``struct``, take the exact value as ``s`` plus a TwoSum
+residual, nudge ``s`` to round-to-odd and round once with a ``struct``
+pack.  Two facts make the scalar flags cheap: the overflow bound
+``2^emax * (2 - 2^-p)`` and the tininess threshold both carry at most
+``p + 1`` significand bits, so they are binary64 values with an even
+last bit, and comparing the round-to-odd value against them decides
+the comparison for the exact value.  The softfloat stays the oracle:
+the tests compare both cores against it and against an independent
+``fractions.Fraction`` model.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import math
+import struct
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
+from . import arith
 from .flags import NV, OF, UF, NX
 from .formats import FloatFormat
 from .numpy_backend import from_bits
+from .rounding import RoundingMode
 
 #: Formats with a vectorized batch path (IEEE layouts only; guest
 #: formats such as posit/MX always take the per-element codec path).
@@ -395,3 +412,170 @@ def dotp(src: FloatFormat, dst: FloatFormat, acc: np.ndarray,
         lo = np.where(fallback, 0.0, lo)
     bits, flags = _finish(dst, hi, lo)
     return bits, flags, fallback
+
+
+# ----------------------------------------------------------------------
+# Scalar counterparts for the fast-path engine: Python floats instead of
+# arrays, same exact-then-round-once argument, same flags.  Only RNE is
+# covered; the binders route every other mode to the softfloat.
+# ----------------------------------------------------------------------
+_F32 = struct.Struct("<f")
+_F16 = struct.Struct("<e")
+_U32S = struct.Struct("<I")
+_U16S = struct.Struct("<H")
+_F64 = struct.Struct("<d")
+_U64S = struct.Struct("<Q")
+
+_RNE = RoundingMode.RNE
+
+
+def _overflow_bound(fmt: FloatFormat) -> float:
+    """Smallest magnitude RNE rounds to infinity: the midpoint between
+    the largest finite value and 2^(emax+1), which rounds up because the
+    largest finite significand is odd."""
+    return math.ldexp(2.0 - 2.0 ** -fmt.precision, fmt.emax)
+
+
+def _decoder_encoder(fmt: FloatFormat):
+    """``(decode, encode)`` for one format.
+
+    ``decode(bits)`` is the exact value; ``encode(v)`` rounds a finite,
+    non-overflowing binary64 value (already round-to-odd adjusted) to
+    ``(bits, value)``.  binary16alt and binary8 have no struct code:
+    they round to odd at binary32/binary16 (same emin, >= p + 2 bits)
+    and finish with the carry truncation of ``_encode_b16alt`` and
+    ``_encode_b8``.
+    """
+    f32_pack, f32_unpack = _F32.pack, _F32.unpack
+    u32_pack, u32_unpack = _U32S.pack, _U32S.unpack
+    f16_pack, f16_unpack = _F16.pack, _F16.unpack
+    u16_pack, u16_unpack = _U16S.pack, _U16S.unpack
+
+    if fmt.name == "binary32":
+        def decode(bits):
+            return f32_unpack(u32_pack(bits))[0]
+
+        def encode(v):
+            raw = f32_pack(v)
+            return u32_unpack(raw)[0], f32_unpack(raw)[0]
+    elif fmt.name == "binary16":
+        def decode(bits):
+            return f16_unpack(u16_pack(bits))[0]
+
+        def encode(v):
+            raw = f16_pack(v)
+            return u16_unpack(raw)[0], f16_unpack(raw)[0]
+    elif fmt.name == "binary16alt":
+        def decode(bits):
+            return f32_unpack(u32_pack(bits << 16))[0]
+
+        def encode(v):
+            raw = f32_pack(v)
+            b = u32_unpack(raw)[0]
+            if not b & 1:
+                f = f32_unpack(raw)[0]
+                if f != v:  # round to odd, away from or toward zero
+                    b += 1 if abs(v) > abs(f) else -1
+            r = (b + 0x7FFF + ((b >> 16) & 1)) >> 16
+            return r, f32_unpack(u32_pack(r << 16))[0]
+    else:  # binary8
+        values = _table(fmt).tolist()
+
+        def decode(bits):
+            return values[bits]
+
+        def encode(v):
+            raw = f16_pack(v)
+            h = u16_unpack(raw)[0]
+            if not h & 1:
+                f = f16_unpack(raw)[0]
+                if f != v:
+                    h += 1 if abs(v) > abs(f) else -1
+            r = (h + 0x7F + ((h >> 8) & 1)) >> 8
+            return r, values[r]
+    return decode, encode
+
+
+class ScalarOps(NamedTuple):
+    """RNE arithmetic on packed bit patterns of one IEEE format.
+
+    Every function returns ``(bits, fflags)`` bit-identical to the
+    matching :mod:`repro.fp.arith` call at ``RoundingMode.RNE``; NaN and
+    infinity operands are passed to that call.
+    """
+
+    add: Callable[[int, int], Tuple[int, int]]
+    sub: Callable[[int, int], Tuple[int, int]]
+    mul: Callable[[int, int], Tuple[int, int]]
+    #: ``fma(a, b, c, negate_product=False, negate_addend=False)``.
+    fma: Callable[..., Tuple[int, int]]
+
+
+_SCALAR: Dict[str, ScalarOps] = {}
+
+
+def scalar_ops(fmt: FloatFormat) -> ScalarOps:
+    """The scalar RNE core for a :func:`batchable` format."""
+    ops = _SCALAR.get(fmt.name)
+    if ops is None:
+        ops = _SCALAR[fmt.name] = _build_scalar_ops(fmt)
+    return ops
+
+
+def _build_scalar_ops(fmt: FloatFormat) -> ScalarOps:
+    if not batchable(fmt):
+        raise ValueError(f"{fmt.name} has no exact binary64 core")
+    decode, encode = _decoder_encoder(fmt)
+    special = fmt.exp_mask << fmt.man_bits  # exponent all ones: NaN/inf
+    ovf = _overflow_bound(fmt)
+    tiny = _tiny_threshold(fmt)
+    pos_inf, neg_inf = fmt.pos_inf, fmt.neg_inf
+    f64_pack, u64_unpack = _F64.pack, _U64S.unpack
+    nextafter, inf = math.nextafter, math.inf
+
+    def round_sum(x, y):
+        # TwoSum: x + y == s + e exactly, s = RN64(x + y).  Round-to-odd
+        # first, so the format rounding below is the single rounding of
+        # the exact sum.
+        s = x + y
+        t = s - x
+        e = (x - (s - t)) + (y - t)
+        v = s
+        if e and not u64_unpack(f64_pack(s))[0] & 1:
+            v = nextafter(s, inf if e > 0 else -inf)
+        mag = abs(v)
+        if mag >= ovf:
+            return (neg_inf if v < 0 else pos_inf), OF | NX
+        bits, q = encode(v)
+        if q == v:  # never when e != 0: v then has an odd 53rd bit
+            return bits, 0
+        return bits, (UF | NX) if mag < tiny else NX
+
+    def add(a, b):
+        if (a & special) == special or (b & special) == special:
+            return arith.fadd(fmt, a, b, _RNE)
+        return round_sum(decode(a), decode(b))
+
+    def sub(a, b):
+        if (a & special) == special or (b & special) == special:
+            return arith.fsub(fmt, a, b, _RNE)
+        return round_sum(decode(a), -decode(b))
+
+    def mul(a, b):
+        if (a & special) == special or (b & special) == special:
+            return arith.fmul(fmt, a, b, _RNE)
+        # The product is exact (2p <= 48 bits); adding -0.0 keeps every
+        # value, the sign of zero included.
+        return round_sum(decode(a) * decode(b), -0.0)
+
+    def fma(a, b, c, negate_product=False, negate_addend=False):
+        if ((a & special) == special or (b & special) == special
+                or (c & special) == special):
+            return arith.ffma(fmt, a, b, c, _RNE, negate_product,
+                              negate_addend)
+        p = decode(a) * decode(b)
+        z = decode(c)
+        return round_sum(-p if negate_product else p,
+                         -z if negate_addend else z)
+
+    return ScalarOps(add, sub, mul, fma)

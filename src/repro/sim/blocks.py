@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from ..fp import arith, compare, registry, simd
+from ..fp import arith, batch, compare, registry, simd
 from ..fp.flags import ALL as FFLAGS_MASK
 from ..fp.rounding import RoundingMode
 from ..isa.compressed import IllegalCompressed
@@ -585,8 +585,14 @@ def _bind_jalr(i, m, pc):
 # CSR writes terminate blocks, so frm is block-invariant but not
 # run-invariant.  Reserved static rm encodings fall back to the generic
 # handler, which raises with exact semantics.
+#
+# add/sub/mul/FMA and their vector lanes take the exact-then-round-once
+# core (:func:`repro.fp.batch.scalar_ops`) when they round to nearest
+# even in an IEEE format; every other mode (directed, SR) and every
+# guest format calls the softfloat, as the reference executor does.
 # ----------------------------------------------------------------------
 _DYN_RM = int(RoundingMode.DYN)
+_FRM_RNE = int(RoundingMode.RNE)
 _RM_MEMBERS = {int(mode): mode for mode in RoundingMode}
 
 
@@ -608,7 +614,20 @@ def _fp_guard(i, m):
     return registry.by_suffix(i.spec.fp_fmt)
 
 
-def _bind_fp_binop(op):
+def _rne_core(fmt, name, rm=None):
+    """The exact RNE core's ``name`` op for ``fmt``, or ``None`` when
+    the instruction can never round to nearest even there (no core op,
+    a guest format, or a static non-RNE mode)."""
+    if name is None or not batch.batchable(fmt):
+        return None
+    if rm is not None and rm is not RoundingMode.RNE:
+        return None
+    return getattr(batch.scalar_ops(fmt), name)
+
+
+def _bind_fp_binop(op, core=None):
+    """``core`` names the :class:`~repro.fp.batch.ScalarOps` op that
+    replaces the softfloat ``op`` under RNE."""
     def bind(i, m, pc):
         fmt = _fp_guard(i, m)
         if fmt is None:
@@ -616,26 +635,25 @@ def _bind_fp_binop(op):
         usable, rm = _resolve_static_rm(i)
         if not usable:
             return None
+        fast = _rne_core(fmt, core, rm)
         mask = fmt.bits_mask if fmt.width < 32 else MASK32
         rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-        if rm is None:
-            def run(m, _i, op=op, fmt=fmt, mask=mask, rd=rd, rs1=rs1,
-                    rs2=rs2):
-                x = m.xregs
-                csr = m.csr
-                bits, flags = op(fmt, x[rs1] & mask, x[rs2] & mask,
-                                 csr.rounding_mode)
-                csr.fflags |= flags & FFLAGS_MASK
-                if rd:
-                    x[rd] = bits & mask
-        else:
-            def run(m, _i, op=op, fmt=fmt, mask=mask, rd=rd, rs1=rs1,
-                    rs2=rs2, rm=rm):
-                x = m.xregs
-                bits, flags = op(fmt, x[rs1] & mask, x[rs2] & mask, rm)
-                m.csr.fflags |= flags & FFLAGS_MASK
-                if rd:
-                    x[rd] = bits & mask
+
+        # With ``fast`` bound, a static ``rm`` is RNE.
+        def run(m, _i, op=op, fast=fast, fmt=fmt, mask=mask, rd=rd,
+                rs1=rs1, rs2=rs2, rm=rm):
+            x = m.xregs
+            csr = m.csr
+            a = x[rs1] & mask
+            b = x[rs2] & mask
+            if fast is not None and (rm is not None or csr.frm == _FRM_RNE):
+                bits, flags = fast(a, b)
+            else:
+                bits, flags = op(fmt, a, b,
+                                 csr.rounding_mode if rm is None else rm)
+            csr.fflags |= flags & FFLAGS_MASK
+            if rd:
+                x[rd] = bits & mask
         return run
     return bind
 
@@ -648,17 +666,24 @@ def _bind_fp_fma(negate_product, negate_addend):
         usable, rm = _resolve_static_rm(i)
         if not usable:
             return None
+        fast = _rne_core(fmt, "fma", rm)
         mask = fmt.bits_mask if fmt.width < 32 else MASK32
         rd, rs1, rs2, rs3 = i.rd, i.rs1, i.rs2, i.rs3
 
-        def run(m, _i, fmt=fmt, mask=mask, rd=rd, rs1=rs1, rs2=rs2,
-                rs3=rs3, rm=rm, np_=negate_product, na=negate_addend):
+        def run(m, _i, fast=fast, fmt=fmt, mask=mask, rd=rd, rs1=rs1,
+                rs2=rs2, rs3=rs3, rm=rm, np_=negate_product,
+                na=negate_addend):
             x = m.xregs
             csr = m.csr
-            bits, flags = arith.ffma(
-                fmt, x[rs1] & mask, x[rs2] & mask, x[rs3] & mask,
-                csr.rounding_mode if rm is None else rm,
-                negate_product=np_, negate_addend=na)
+            a = x[rs1] & mask
+            b = x[rs2] & mask
+            c = x[rs3] & mask
+            if fast is not None and (rm is not None or csr.frm == _FRM_RNE):
+                bits, flags = fast(a, b, c, np_, na)
+            else:
+                bits, flags = arith.ffma(
+                    fmt, a, b, c, csr.rounding_mode if rm is None else rm,
+                    negate_product=np_, negate_addend=na)
             csr.fflags |= flags & FFLAGS_MASK
             if rd:
                 x[rd] = bits & mask
@@ -732,26 +757,37 @@ def _vec_prep(i, m):
     return fmt, repl_factor
 
 
-def _bind_vec_binop(op, with_rm=True):
+def _bind_vec_binop(op, with_rm=True, core=None):
+    """Vector ops always round via ``fcsr.frm``; under RNE, ``core``
+    (see :func:`_bind_fp_binop`) computes each lane."""
     def bind(i, m, pc):
         prep = _vec_prep(i, m)
         if prep is None:
             return None
         fmt, repl_factor = prep
         fmt_mask = fmt.bits_mask
+        fast = _rne_core(fmt, core)
         rd, rs1, rs2 = i.rd, i.rs1, i.rs2
 
-        def run(m, _i, op=op, fmt=fmt, fmt_mask=fmt_mask, rd=rd, rs1=rs1,
-                rs2=rs2, repl_factor=repl_factor, with_rm=with_rm):
+        def run(m, _i, op=op, fast=fast, fmt=fmt, fmt_mask=fmt_mask, rd=rd,
+                rs1=rs1, rs2=rs2, repl_factor=repl_factor, with_rm=with_rm,
+                shifts=tuple(range(0, 32, fmt.width))):
             x = m.xregs
             csr = m.csr
+            a = x[rs1]
             b = x[rs2]
             if repl_factor is not None:
                 b = (b & fmt_mask) * repl_factor
-            if with_rm:
-                bits, flags = op(fmt, 32, x[rs1], b, csr.rounding_mode)
+            if fast is not None and csr.frm == _FRM_RNE:
+                bits = flags = 0
+                for sh in shifts:
+                    r, f = fast((a >> sh) & fmt_mask, (b >> sh) & fmt_mask)
+                    bits |= r << sh
+                    flags |= f
+            elif with_rm:
+                bits, flags = op(fmt, 32, a, b, csr.rounding_mode)
             else:
-                bits, flags = op(fmt, 32, x[rs1], b)
+                bits, flags = op(fmt, 32, a, b)
             csr.fflags |= flags & FFLAGS_MASK
             if rd:
                 x[rd] = bits & MASK32
@@ -765,17 +801,28 @@ def _bind_vfmac(i, m, pc):
         return None
     fmt, repl_factor = prep
     fmt_mask = fmt.bits_mask
+    fast = _rne_core(fmt, "fma")
     rd, rs1, rs2 = i.rd, i.rs1, i.rs2
 
-    def run(m, _i, fmt=fmt, fmt_mask=fmt_mask, rd=rd, rs1=rs1, rs2=rs2,
-            repl_factor=repl_factor):
+    def run(m, _i, fast=fast, fmt=fmt, fmt_mask=fmt_mask, rd=rd, rs1=rs1,
+            rs2=rs2, repl_factor=repl_factor,
+            shifts=tuple(range(0, 32, fmt.width))):
         x = m.xregs
         csr = m.csr
+        acc = x[rd]
+        a = x[rs1]
         b = x[rs2]
         if repl_factor is not None:
             b = (b & fmt_mask) * repl_factor
-        bits, flags = simd.vfmac(fmt, 32, x[rd], x[rs1], b,
-                                 csr.rounding_mode)
+        if fast is not None and csr.frm == _FRM_RNE:
+            bits = flags = 0
+            for sh in shifts:
+                r, f = fast((a >> sh) & fmt_mask, (b >> sh) & fmt_mask,
+                            (acc >> sh) & fmt_mask)
+                bits |= r << sh
+                flags |= f
+        else:
+            bits, flags = simd.vfmac(fmt, 32, acc, a, b, csr.rounding_mode)
         csr.fflags |= flags & FFLAGS_MASK
         if rd:
             x[rd] = bits & MASK32
@@ -826,9 +873,9 @@ _FAST_BINDERS = {
     "bgeu": _bind_branch(lambda a, b: a >= b),
     "jal": _bind_jal,
     "jalr": _bind_jalr,
-    "fadd": _bind_fp_binop(arith.fadd),
-    "fsub": _bind_fp_binop(arith.fsub),
-    "fmul": _bind_fp_binop(arith.fmul),
+    "fadd": _bind_fp_binop(arith.fadd, core="add"),
+    "fsub": _bind_fp_binop(arith.fsub, core="sub"),
+    "fmul": _bind_fp_binop(arith.fmul, core="mul"),
     "fdiv": _bind_fp_binop(arith.fdiv),
     "fmadd": _bind_fp_fma(False, False),
     "fmsub": _bind_fp_fma(False, True),
@@ -842,9 +889,9 @@ _FAST_BINDERS = {
     "feq": _bind_fp_cmp(compare.feq),
     "flt": _bind_fp_cmp(compare.flt),
     "fle": _bind_fp_cmp(compare.fle),
-    "vfadd": _bind_vec_binop(simd.vfadd),
-    "vfsub": _bind_vec_binop(simd.vfsub),
-    "vfmul": _bind_vec_binop(simd.vfmul),
+    "vfadd": _bind_vec_binop(simd.vfadd, core="add"),
+    "vfsub": _bind_vec_binop(simd.vfsub, core="sub"),
+    "vfmul": _bind_vec_binop(simd.vfmul, core="mul"),
     "vfdiv": _bind_vec_binop(simd.vfdiv),
     "vfmin": _bind_vec_binop(simd.vfmin, with_rm=False),
     "vfmax": _bind_vec_binop(simd.vfmax, with_rm=False),

@@ -21,7 +21,7 @@ from repro.harness.parallel import SweepPoint
 from repro.harness.runner import SafeRunOutcome, run_kernel
 from repro.kernels import KERNELS
 from repro.serve import ReproServeApp, ServeClient, ServeClientError
-from repro.serve.executor import KernelExecutor
+from repro.serve.executor import KernelExecutor, MipsEstimator
 from repro.serve.jobs import Job, JobQueue
 from repro.serve.server import make_server
 
@@ -248,10 +248,16 @@ class TestBackpressure:
 # ----------------------------------------------------------------------
 class TestDeadlines:
     def test_deadline_expiry_returns_structured_timeout(self):
+        # The deadline must stop the run through its budget cap, not
+        # lapse while the job is still queued (that answer carries no
+        # instruction count).  A low MIPS estimate turns a 5 s deadline
+        # into a cap of ~5,000 instructions, well under the 20,271 that
+        # gemm/float16/auto retires, with seconds to spare.
         with serving(workers=1) as (app, client):
+            app.executor._estimator = MipsEstimator(initial=0.001)
             with pytest.raises(ServeClientError) as info:
                 client.run_kernel("gemm", "float16", "auto", seed=11,
-                                  deadline_ms=1)
+                                  deadline_ms=5000)
             assert info.value.status == 504
             assert info.value.error_type == "deadline_exceeded"
             assert "instructions" in info.value.detail

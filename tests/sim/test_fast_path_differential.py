@@ -257,48 +257,267 @@ def test_compressed_stream_bit_identical():
 # ----------------------------------------------------------------------
 # FP exception flags accrue identically
 # ----------------------------------------------------------------------
-def test_fcsr_flags_overflow():
-    # float16 max (0x7bff) + itself overflows: OF|NX.
-    ref, fast = run_both("""
-    li a2, 0x7bff
-    fadd.h fa3, fa2, fa2
+# Under RNE the fast path computes add/sub/mul/FMA (and their vector
+# lanes) as one exact binary64 operation plus one rounding, and calls
+# the softfloat for every other mode; the reference loop always calls
+# the softfloat.  These programs aim at the values where a single
+# rounding is easiest to get wrong, in every IEEE format.  The machine
+# uses the merged regfile, so li into a2/a3/a4 stages fa2/fa3/fa4.
+FTYPES = ["float", "float16", "float16alt", "float8"]
+VECTOR_FTYPES = ["float16", "float16alt", "float8"]
+
+
+class Fmt:
+    """Mnemonic suffix and bit patterns of one format, for test asm."""
+
+    def __init__(self, ftype):
+        from repro.fp import lookup
+
+        f = lookup(ftype)
+        self.sfx = f.suffix
+        self.sign = f.sign_mask
+        self.max = f.max_finite
+        self.inf = f.pos_inf
+        self.min_normal = f.min_normal
+
+        def power(k, man=0):  # 2^k (times 1.man)
+            return ((k + f.bias) << f.man_bits) | man
+
+        self.power = power
+        self.one = power(0)
+        self.half_ulp_one = power(-f.man_bits - 1)
+        self.half_ulp_max = power(f.emax - f.man_bits - 1)
+        self.width = f.width
+        #: An exact, an overflowing, a tying and a subnormal lane.
+        self.mixed = [self.one + 1, f.max_finite,
+                      self.half_ulp_one | f.sign_mask, 0x1]
+
+    def vector(self, values):
+        """Pack as many of ``values`` as fit into one 32-bit register."""
+        return sum(v << (i * self.width)
+                   for i, v in enumerate(values[:32 // self.width]))
+
+
+def flags_program(body):
+    return body + """
     csrr a0, fflags
     ret
-    """, label="overflow")
+    """
+
+
+@pytest.mark.parametrize("ftype", FTYPES)
+def test_fcsr_flags_overflow(ftype):
+    # max + max overflows: OF|NX.
+    f = Fmt(ftype)
+    ref, fast = run_both(flags_program(f"""
+    li a2, {f.max:#x}
+    fadd.{f.sfx} fa3, fa2, fa2
+    """), label=f"overflow/{ftype}")
     assert ref.machine.xregs[10] != 0  # flags actually raised
 
 
-def test_fcsr_flags_invalid():
-    # +inf + -inf in binary16: NV.
-    run_both("""
-    li a2, 0x7c00
-    li a3, 0xfc00
-    fadd.h fa4, fa2, fa3
-    csrr a0, fflags
-    ret
-    """, label="invalid")
+@pytest.mark.parametrize("ftype", FTYPES)
+def test_fcsr_flags_invalid(ftype):
+    # +inf + -inf: NV.
+    f = Fmt(ftype)
+    run_both(flags_program(f"""
+    li a2, {f.inf:#x}
+    li a3, {f.inf | f.sign:#x}
+    fadd.{f.sfx} fa4, fa2, fa3
+    """), label=f"invalid/{ftype}")
 
 
-def test_fcsr_flags_underflow():
+@pytest.mark.parametrize("ftype", FTYPES)
+def test_fcsr_flags_underflow(ftype):
     # Smallest subnormal squared underflows to zero: UF|NX.
-    run_both("""
-    li a2, 0x0001
-    fmul.h fa3, fa2, fa2
-    csrr a0, fflags
-    ret
-    """, label="underflow")
+    f = Fmt(ftype)
+    run_both(flags_program(f"""
+    li a2, 0x1
+    fmul.{f.sfx} fa3, fa2, fa2
+    """), label=f"underflow/{ftype}")
 
 
-def test_static_rounding_mode_operand():
+@pytest.mark.parametrize("ftype", FTYPES)
+def test_static_rounding_mode_operand(ftype):
     # Instruction-encoded static rm (rtz) against the dynamic default.
-    run_both("""
-    li a2, 0x3c00
-    li a3, 0x0001
-    fadd.h fa4, fa2, fa3, rtz
-    fadd.h fa5, fa2, fa3, rne
-    csrr a0, fflags
-    ret
-    """, label="static-rm")
+    # binary16alt pins its rm field to the format select, so it gets
+    # the same two roundings through frm instead.
+    f = Fmt(ftype)
+    if ftype == "float16alt":
+        ops = f"""
+    addi t0, zero, 1
+    csrw frm, t0
+    fadd.ah fa4, fa2, fa3
+    csrw frm, zero
+    fadd.ah fa5, fa2, fa3
+    """
+    else:
+        ops = f"""
+    fadd.{f.sfx} fa4, fa2, fa3, rtz
+    fadd.{f.sfx} fa5, fa2, fa3, rne
+    """
+    run_both(flags_program(f"""
+    li a2, {f.one:#x}
+    li a3, 0x1
+    """ + ops), label=f"static-rm/{ftype}")
+
+
+@pytest.mark.parametrize("ftype", FTYPES)
+def test_rne_ties_round_to_even(ftype):
+    # 1 + half an ulp stays at 1 (even); (1 + ulp) + half an ulp goes
+    # up to 1 + 2 ulp; both are exact midpoints of the format.
+    f = Fmt(ftype)
+    ref, _ = run_both(flags_program(f"""
+    li a2, {f.one:#x}
+    li a3, {f.half_ulp_one:#x}
+    li a4, {f.one + 1:#x}
+    fadd.{f.sfx} fa5, fa2, fa3
+    fadd.{f.sfx} fa6, fa4, fa3
+    fsub.{f.sfx} fa7, fa4, fa3
+    """), label=f"tie/{ftype}")
+    x = ref.machine.xregs
+    assert (x[15], x[16], x[17]) == (f.one, f.one + 2, f.one)
+
+
+@pytest.mark.parametrize("ftype", FTYPES)
+def test_result_exactly_at_overflow_boundary(ftype):
+    # max + half an ulp of max is the midpoint to 2^(emax+1): RNE takes
+    # it to infinity (OF|NX).  max - half an ulp ties to the even
+    # neighbour below max (max's significand is odd): NX only.
+    f = Fmt(ftype)
+    ref, _ = run_both(flags_program(f"""
+    li a2, {f.max:#x}
+    li a3, {f.half_ulp_max:#x}
+    fsub.{f.sfx} fa5, fa2, fa3
+    csrr a1, fflags
+    fadd.{f.sfx} fa4, fa2, fa3
+    """), label=f"overflow-boundary/{ftype}")
+    x = ref.machine.xregs
+    assert (x[14], x[15], x[11], x[10]) == (f.inf, f.max - 1, 0b00001,
+                                          0b00101)
+
+
+@pytest.mark.parametrize("ftype", FTYPES)
+def test_result_at_tininess_threshold(ftype):
+    # min_subnormal * -2^-2 + min_normal is exactly
+    # 2^emin * (1 - 2^-(p+1)): it rounds up to min_normal and, with
+    # tininess detected after rounding, raises NX but not UF.  One
+    # subnormal step less (-2^-1) is tiny: UF|NX.
+    f = Fmt(ftype)
+    ref, _ = run_both(flags_program(f"""
+    li a2, 0x1
+    li a3, {f.power(-2) | f.sign:#x}
+    li a4, {f.min_normal:#x}
+    fmadd.{f.sfx} fa5, fa2, fa3, fa4
+    csrr a1, fflags
+    csrw fflags, zero
+    li a3, {f.power(-1) | f.sign:#x}
+    fmadd.{f.sfx} fa6, fa2, fa3, fa4
+    """), label=f"tininess/{ftype}")
+    x = ref.machine.xregs
+    assert (x[15], x[11]) == (f.min_normal, 0b00001)
+    assert x[10] == 0b00011
+
+
+@pytest.mark.parametrize("ftype", FTYPES)
+@pytest.mark.parametrize("frm", [0, 2], ids=["rne", "rdn"])
+def test_exact_cancellation_zero_sign(ftype, frm):
+    # x - x is +0 under RNE and -0 under RDN; -0 + -0 stays -0; the
+    # fused x*1 - x cancels the same way.
+    f = Fmt(ftype)
+    ref, _ = run_both(flags_program(f"""
+    addi t0, zero, {frm}
+    csrw frm, t0
+    li a2, {f.one + 3:#x}
+    li a3, {f.sign:#x}
+    li a4, {f.one:#x}
+    fsub.{f.sfx} fa5, fa2, fa2
+    fadd.{f.sfx} fa6, fa3, fa3
+    fmsub.{f.sfx} fa7, fa2, fa4, fa2
+    """), label=f"cancel/{ftype}/frm={frm}")
+    x = ref.machine.xregs
+    zero = f.sign if frm == 2 else 0
+    assert (x[15], x[16], x[17]) == (zero, f.sign, zero)
+
+
+@pytest.mark.parametrize("ftype", ["float", "float16alt"])
+def test_wide_gap_sum(ftype):
+    # Exponent gaps beyond binary64's 53 bits leave a non-zero TwoSum
+    # residual: the result is the big operand, or its neighbour toward
+    # the residual for the fused form, and NX is raised.
+    f = Fmt(ftype)
+    run_both(flags_program(f"""
+    li a2, {f.power(60, 1):#x}
+    li a3, {f.sign | 0x3:#x}
+    li a4, {f.one:#x}
+    fadd.{f.sfx} fa5, fa2, fa3
+    fsub.{f.sfx} fa6, fa3, fa2
+    fmadd.{f.sfx} fa7, fa2, fa4, fa3
+    fnmsub.{f.sfx} fa1, fa2, fa4, fa3
+    """), label=f"gap/{ftype}")
+
+
+@pytest.mark.parametrize("ftype", FTYPES)
+def test_fnmadd_and_fused_forms(ftype):
+    f = Fmt(ftype)
+    run_both(flags_program(f"""
+    li a2, {f.one + 5:#x}
+    li a3, {f.one + 3 | f.sign:#x}
+    li a4, {f.half_ulp_one:#x}
+    fnmadd.{f.sfx} fa5, fa2, fa3, fa4
+    fnmsub.{f.sfx} fa6, fa2, fa3, fa4
+    fmadd.{f.sfx} fa7, fa2, fa2, fa4
+    fmsub.{f.sfx} fa1, fa2, fa2, fa4
+    """), label=f"fnmadd/{ftype}")
+
+
+@pytest.mark.parametrize("ftype", VECTOR_FTYPES)
+def test_vfmac_and_replicated_forms(ftype):
+    # Lanes mix an exact product, an overflow, a tie and a subnormal;
+    # vfmac accumulates into rd, the .r forms replicate rs2's lane 0.
+    f = Fmt(ftype)
+    a = f.vector(f.mixed)
+    b = f.vector([f.one + 2, f.one + 1, f.one, f.max])
+    acc = f.vector([f.half_ulp_one, f.max, f.one, 0x1])
+    run_both(flags_program(f"""
+    li a2, {a:#x}
+    li a3, {b:#x}
+    li a4, {acc:#x}
+    li a5, {acc:#x}
+    vfmac.{f.sfx} fa4, fa2, fa3
+    vfmac.r.{f.sfx} fa5, fa2, fa3
+    vfadd.r.{f.sfx} fa6, fa2, fa3
+    vfsub.{f.sfx} fa7, fa2, fa3
+    vfmul.r.{f.sfx} fa1, fa2, fa3
+    """), label=f"vfmac/{ftype}")
+
+
+@pytest.mark.parametrize("ftype", FTYPES)
+@pytest.mark.parametrize("frm", [2, 5], ids=["rdn", "sr"])
+def test_directed_and_stochastic_modes_fall_back(ftype, frm):
+    # RDN and SR (frm 5) take the softfloat on both paths; inexact
+    # results there differ from RNE, so a fast path that ignored frm
+    # would diverge.
+    f = Fmt(ftype)
+    vector = ""
+    if ftype in VECTOR_FTYPES:
+        vector = f"""
+    li a5, {f.vector(f.mixed):#x}
+    vfadd.{f.sfx} fa6, fa5, fa5
+    vfmul.{f.sfx} fa7, fa5, fa4
+    vfmac.{f.sfx} fa1, fa5, fa5
+    """
+    run_both(flags_program(f"""
+    addi t0, zero, {frm}
+    csrw frm, t0
+    li a2, {f.one + 1:#x}
+    li a3, {f.half_ulp_one | f.sign:#x}
+    li a4, {f.one + 3:#x}
+    fadd.{f.sfx} fa5, fa2, fa3
+    fmul.{f.sfx} fa5, fa2, fa4
+    fmadd.{f.sfx} fa5, fa2, fa4, fa3
+    fsub.{f.sfx} fa5, fa3, fa2
+    """ + vector), label=f"fallback/{ftype}/frm={frm}")
 
 
 # ----------------------------------------------------------------------
