@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .baseline import FTYPES, MODES, _config_key
+from .baseline import build_matrix
 
 
 def compute_absint_baseline(
@@ -24,46 +24,32 @@ def compute_absint_baseline(
     modes: Optional[List[str]] = None,
 ) -> Dict[str, object]:
     """Analyze every requested configuration; returns the payload."""
-    from ..compiler import compile_source
-    from ..kernels import KERNELS
     from .absint import analyze_program, collect_risks
 
     configs: Dict[str, object] = {}
     kind_totals: Dict[str, int] = {}
-    for name in sorted(kernels or KERNELS):
-        spec = KERNELS[name]
-        for ftype in ftypes or FTYPES:
-            for mode in modes or MODES:
-                if mode == "manual":
-                    if spec.manual_source_fn is None or ftype == "float":
-                        continue
-                    source = spec.manual_source_fn(ftype)
-                    kernel = compile_source(source, lint=False)
-                else:
-                    source = spec.source_fn(ftype)
-                    kernel = compile_source(
-                        source, vectorize_loops=(mode == "auto"), lint=False)
-                result = analyze_program(kernel.program)
-                risks = collect_risks(result)
-                by_kind: Dict[str, int] = {}
-                entries = []
-                for risk in risks:
-                    by_kind[risk.kind] = by_kind.get(risk.kind, 0) + 1
-                    entry: Dict[str, object] = {"kind": risk.kind,
-                                                "line": risk.site.line,
-                                                "mnemonic": risk.site.mnemonic}
-                    if risk.fmt is not None:
-                        entry["fmt"] = risk.fmt
-                    if risk.suggestion is not None:
-                        entry["suggestion"] = risk.suggestion
-                    entries.append(entry)
-                configs[_config_key(name, ftype, mode)] = {
-                    "risks": entries,
-                    "by_kind": dict(sorted(by_kind.items())),
-                    "summary": result.summary(),
-                }
-                for kind, count in by_kind.items():
-                    kind_totals[kind] = kind_totals.get(kind, 0) + count
+    for key, kernel in build_matrix(kernels, ftypes, modes):
+        result = analyze_program(kernel.program)
+        risks = collect_risks(result)
+        by_kind: Dict[str, int] = {}
+        entries = []
+        for risk in risks:
+            by_kind[risk.kind] = by_kind.get(risk.kind, 0) + 1
+            entry: Dict[str, object] = {"kind": risk.kind,
+                                        "line": risk.site.line,
+                                        "mnemonic": risk.site.mnemonic}
+            if risk.fmt is not None:
+                entry["fmt"] = risk.fmt
+            if risk.suggestion is not None:
+                entry["suggestion"] = risk.suggestion
+            entries.append(entry)
+        configs[key] = {
+            "risks": entries,
+            "by_kind": dict(sorted(by_kind.items())),
+            "summary": result.summary(),
+        }
+        for kind, count in by_kind.items():
+            kind_totals[kind] = kind_totals.get(kind, 0) + count
     return {
         "configs": configs,
         "totals_by_kind": dict(sorted(kind_totals.items())),

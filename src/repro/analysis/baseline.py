@@ -13,7 +13,7 @@ reviewable baseline diff rather than silent drift.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: The (ftype, mode) build matrix; invalid combinations are skipped.
 FTYPES = ("float", "float16", "float16alt", "float8")
@@ -24,60 +24,69 @@ def _config_key(kernel: str, ftype: str, mode: str) -> str:
     return f"{kernel}/{ftype}/{mode}"
 
 
+def build_matrix(
+    kernels: Optional[List[str]] = None,
+    ftypes: Optional[List[str]] = None,
+    modes: Optional[List[str]] = None,
+) -> Iterator[Tuple[str, object]]:
+    """``(config key, compiled kernel)`` over every valid requested build.
+
+    Each kernel is the program the harness runs for that configuration
+    (:func:`repro.harness.runner.compile_point`), compiled unlinted.
+    """
+    from ..harness.runner import compile_point
+    from ..kernels import KERNELS
+
+    for name in sorted(kernels or KERNELS):
+        spec = KERNELS[name]
+        for ftype in ftypes or FTYPES:
+            for mode in modes or MODES:
+                if mode == "manual" and (spec.manual_source_fn is None
+                                         or ftype == "float"):
+                    continue
+                yield (_config_key(name, ftype, mode),
+                       compile_point(spec, ftype, mode, lint=False))
+
+
 def compute_baseline(
     kernels: Optional[List[str]] = None,
     ftypes: Optional[List[str]] = None,
     modes: Optional[List[str]] = None,
 ) -> Dict[str, object]:
     """Lint every requested configuration; returns the baseline payload."""
-    from ..compiler import compile_source
-    from ..kernels import KERNELS
     from .lints import lint_program
 
     configs: Dict[str, object] = {}
     totals: Dict[str, int] = {}
     severity_totals: Dict[str, int] = {}
-    for name in sorted(kernels or KERNELS):
-        spec = KERNELS[name]
-        for ftype in ftypes or FTYPES:
-            for mode in modes or MODES:
-                if mode == "manual":
-                    if spec.manual_source_fn is None or ftype == "float":
-                        continue
-                    source = spec.manual_source_fn(ftype)
-                    kernel = compile_source(source, lint=False)
-                else:
-                    source = spec.source_fn(ftype)
-                    kernel = compile_source(
-                        source, vectorize_loops=(mode == "auto"), lint=False)
-                result = lint_program(kernel.program,
-                                      vector_report=kernel.vector_report,
-                                      source=kernel.asm)
-                by_check: Dict[str, int] = {}
-                by_severity: Dict[str, int] = {}
-                findings = []
-                for finding in result.findings:
-                    by_check[finding.check] = \
-                        by_check.get(finding.check, 0) + 1
-                    by_severity[finding.severity] = \
-                        by_severity.get(finding.severity, 0) + 1
-                    entry = {"check": finding.check,
-                             "severity": finding.severity,
-                             "line": finding.line}
-                    if finding.suggestion is not None:
-                        entry["suggestion"] = finding.suggestion
-                    findings.append(entry)
-                configs[_config_key(name, ftype, mode)] = {
-                    "findings": findings,
-                    "by_check": dict(sorted(by_check.items())),
-                    "by_severity": dict(sorted(by_severity.items())),
-                    "blocks": len(result.cfg.blocks),
-                }
-                for check, count in by_check.items():
-                    totals[check] = totals.get(check, 0) + count
-                for severity, count in by_severity.items():
-                    severity_totals[severity] = \
-                        severity_totals.get(severity, 0) + count
+    for key, kernel in build_matrix(kernels, ftypes, modes):
+        result = lint_program(kernel.program,
+                              vector_report=kernel.vector_report,
+                              source=kernel.asm)
+        by_check: Dict[str, int] = {}
+        by_severity: Dict[str, int] = {}
+        findings = []
+        for finding in result.findings:
+            by_check[finding.check] = by_check.get(finding.check, 0) + 1
+            by_severity[finding.severity] = \
+                by_severity.get(finding.severity, 0) + 1
+            entry = {"check": finding.check,
+                     "severity": finding.severity,
+                     "line": finding.line}
+            if finding.suggestion is not None:
+                entry["suggestion"] = finding.suggestion
+            findings.append(entry)
+        configs[key] = {
+            "findings": findings,
+            "by_check": dict(sorted(by_check.items())),
+            "by_severity": dict(sorted(by_severity.items())),
+            "blocks": len(result.cfg.blocks),
+        }
+        for check, count in by_check.items():
+            totals[check] = totals.get(check, 0) + count
+        for severity, count in by_severity.items():
+            severity_totals[severity] = \
+                severity_totals.get(severity, 0) + count
     return {
         "configs": configs,
         "totals_by_check": dict(sorted(totals.items())),

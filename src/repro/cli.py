@@ -278,6 +278,24 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _compile_kernel_arg(args: argparse.Namespace):
+    """The unlinted program ``run_kernel`` executes for ``--kernel``,
+    ``--ftype`` and ``--mode``; ``None`` after reporting why not."""
+    from .harness.runner import HarnessError, compile_point
+    from .kernels import KERNELS
+
+    if args.kernel not in KERNELS:
+        print(f"unknown kernel {args.kernel!r}; choose from "
+              f"{sorted(KERNELS)}", file=sys.stderr)
+        return None
+    try:
+        return compile_point(KERNELS[args.kernel], args.ftype, args.mode,
+                             lint=False)
+    except HarnessError as exc:
+        print(exc, file=sys.stderr)
+        return None
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
 
@@ -291,32 +309,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     vector_report = None
     trace = None
     if args.kernel is not None:
-        from .compiler import compile_source
-        from .kernels import KERNELS
-
-        if args.kernel not in KERNELS:
-            print(f"unknown kernel {args.kernel!r}; choose from "
-                  f"{sorted(KERNELS)}", file=sys.stderr)
+        kernel = _compile_kernel_arg(args)
+        if kernel is None:
             return 2
-        spec = KERNELS[args.kernel]
-        if args.mode == "manual":
-            if spec.manual_source_fn is None:
-                print(f"{args.kernel} has no manual-vectorized form",
-                      file=sys.stderr)
-                return 2
-            kernel = compile_source(spec.manual_source_fn(args.ftype),
-                                    lint=False)
-        else:
-            kernel = compile_source(spec.source_fn(args.ftype),
-                                    vectorize_loops=(args.mode == "auto"),
-                                    lint=False)
         program = kernel.program
         source = kernel.asm
         vector_report = kernel.vector_report
         if args.validate:
             from .harness import run_kernel
+            from .kernels import KERNELS
 
-            run = run_kernel(spec, args.ftype, args.mode)
+            run = run_kernel(KERNELS[args.kernel], args.ftype, args.mode)
             trace = run.trace
     elif args.file is not None:
         from .isa import assemble
@@ -409,25 +412,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # ------------------------------------------------------------------
     violations = None
     if args.kernel is not None:
-        from .compiler import compile_source
-        from .kernels import KERNELS
-
-        if args.kernel not in KERNELS:
-            print(f"unknown kernel {args.kernel!r}; choose from "
-                  f"{sorted(KERNELS)}", file=sys.stderr)
+        kernel = _compile_kernel_arg(args)
+        if kernel is None:
             return 2
-        spec = KERNELS[args.kernel]
-        if args.mode == "manual":
-            if spec.manual_source_fn is None:
-                print(f"{args.kernel} has no manual-vectorized form",
-                      file=sys.stderr)
-                return 2
-            kernel = compile_source(spec.manual_source_fn(args.ftype),
-                                    lint=False)
-        else:
-            kernel = compile_source(spec.source_fn(args.ftype),
-                                    vectorize_loops=(args.mode == "auto"),
-                                    lint=False)
         result = analyze_program(kernel.program, config=config)
         if args.validate:
             cv = validate_kernel(args.kernel, args.ftype, args.mode,

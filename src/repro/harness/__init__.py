@@ -19,6 +19,7 @@ from .runner import (
     KernelExecutionError,
     KernelRun,
     SafeRunOutcome,
+    compile_point,
     run_kernel,
     run_kernel_safe,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "KernelExecutionError",
     "KernelRun",
     "SafeRunOutcome",
+    "compile_point",
     "run_kernel",
     "run_kernel_safe",
 ]

@@ -7,6 +7,7 @@ get back cycles, instruction mix, energy and quantified output quality.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
@@ -15,7 +16,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
 import numpy as np
 
 from .. import ReproError
-from ..compiler import compile_source
+from ..compiler import CompiledKernel, compile_source
 from ..compiler.typesys import TYPE_KEYWORDS, FloatType
 from ..energy import EnergyModel, EnergyReport
 from ..fp.convert import from_double
@@ -39,6 +40,10 @@ MODES = ("scalar", "auto", "manual")
 
 #: Per-point statuses a crash-isolated sweep can record.
 POINT_STATUSES = ("ok", "trap", "budget_exceeded", "error")
+
+#: Compiled programs :func:`compile_point` keeps per process (one is
+#: ~84 KB, so the memo tops out around 5 MB).
+COMPILE_MEMO_SIZE = 64
 
 
 class HarnessError(ReproError):
@@ -196,6 +201,39 @@ def _read_outputs(spec: KernelSpec, memory, array_at) -> Dict[str, np.ndarray]:
     return outputs
 
 
+def compile_point(spec: KernelSpec, ftype: str, mode: str,
+                  lint: bool = True) -> CompiledKernel:
+    """Compile the program a (spec, ftype, mode) point runs.
+
+    ``mode`` picks the source (``manual`` needs the spec's
+    hand-vectorized form) and whether the auto-vectorizer runs; the
+    spec's ``compile_opts`` always apply.  Memoized per process on the
+    exact compile inputs -- source text, vectorization, options and
+    ``lint`` -- so a spec variant that reuses a name with another
+    source or options gets its own program.  The returned kernel is
+    shared by every caller: treat it as read-only.
+    """
+    if mode not in MODES:
+        raise HarnessError(f"unknown mode {mode!r} (pick from {MODES})")
+    if mode == "manual":
+        if spec.manual_source_fn is None:
+            raise HarnessError(f"{spec.name} has no manual-vectorized form")
+        source = spec.manual_source_fn(ftype)
+    else:
+        source = spec.source_fn(ftype)
+    return _compile_memo(source, mode == "auto",
+                         tuple(sorted(spec.compile_opts.items())), lint)
+
+
+@functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
+def _compile_memo(source: str, vectorize_loops: bool, opts: tuple,
+                  lint: bool) -> CompiledKernel:
+    # No lock around the compile: two threads missing on one key both
+    # compile, and one result wins.  Failures raise and are not kept.
+    return compile_source(source, vectorize_loops=vectorize_loops,
+                          lint=lint, **dict(opts))
+
+
 def run_kernel(
     spec: KernelSpec,
     ftype: str = "float",
@@ -236,22 +274,11 @@ def run_kernel(
     mode; pass ``int(RoundingMode.SR)`` to enable stochastic rounding,
     seeded by ``sr_key`` (see :func:`repro.fp.rounding.set_sr_key`).
     """
-    if mode not in MODES:
-        raise HarnessError(f"unknown mode {mode!r} (pick from {MODES})")
+    kernel = compile_point(spec, ftype, mode)
     run_params = dict(spec.params)
     run_params.update(params or {})
     rng = np.random.default_rng(seed)
     data = spec.make_data(run_params, rng)
-
-    if mode == "manual":
-        if spec.manual_source_fn is None:
-            raise HarnessError(f"{spec.name} has no manual-vectorized form")
-        source = spec.manual_source_fn(ftype)
-        kernel = compile_source(source, **spec.compile_opts)
-    else:
-        source = spec.source_fn(ftype)
-        kernel = compile_source(source, vectorize_loops=(mode == "auto"),
-                                **spec.compile_opts)
 
     sim = Simulator(kernel.program, mem_latency=mem_latency,
                     fast_path=fast_path)
@@ -356,21 +383,10 @@ def run_kernel_batch(
     PRF.  Divergent keys make the lockstep engine drain SR-rounded work
     to scalar execution, preserving bit-identity at reduced throughput.
     """
-    if mode not in MODES:
-        raise HarnessError(f"unknown mode {mode!r} (pick from {MODES})")
+    kernel = compile_point(spec, ftype, mode)
     if not seeds:
         return []
     from ..sim.lockstep import Lane, run_lockstep
-
-    if mode == "manual":
-        if spec.manual_source_fn is None:
-            raise HarnessError(f"{spec.name} has no manual-vectorized form")
-        kernel = compile_source(spec.manual_source_fn(ftype),
-                                **spec.compile_opts)
-    else:
-        kernel = compile_source(spec.source_fn(ftype),
-                                vectorize_loops=(mode == "auto"),
-                                **spec.compile_opts)
 
     if sr_keys is not None and len(sr_keys) != len(seeds):
         raise HarnessError(

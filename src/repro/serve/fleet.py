@@ -5,8 +5,9 @@ guest misbehaviour (traps, runaway budgets) but shares one interpreter
 with the server: a worker that segfaults the host, leaks without
 bound, or wedges in a C extension takes the whole service with it.
 This module supervises N **worker subprocesses** instead, each with
-its own fast-path engine and warm predecoded-program cache, and makes
-the failure modes explicit:
+its own fast-path engine and per-process compile memo
+(:func:`~repro.harness.runner.compile_point`), and makes the failure
+modes explicit:
 
 * **Health**: every worker runs a heartbeat thread; the supervisor
   tracks the last beat it received and treats a stale-but-alive worker

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.absint import AbsintConfig
 from ..analysis.lints import LintConfig, lint_program, severity_at_least
 from ..harness.parallel import SweepPoint, program_fingerprint
+from ..harness.runner import compile_point
 
 #: Findings at or above this severity refuse admission.
 REJECT_SEVERITY = "error"
@@ -75,18 +76,11 @@ class StaticVerifier:
 
     # ------------------------------------------------------------------
     def _compute(self, point: SweepPoint, fingerprint: str) -> Verdict:
-        from ..compiler import compile_source
         from ..kernels import KERNELS
 
-        spec = KERNELS[point.name]
         try:
-            if point.mode == "manual":
-                kernel = compile_source(
-                    spec.manual_source_fn(point.ftype), lint=False)
-            else:
-                kernel = compile_source(
-                    spec.source_fn(point.ftype),
-                    vectorize_loops=(point.mode == "auto"), lint=False)
+            kernel = compile_point(KERNELS[point.name], point.ftype,
+                                   point.mode, lint=False)
         except Exception as exc:  # compile failure is itself a verdict
             return Verdict(fingerprint=fingerprint, ok=False,
                            detail=f"compilation failed: {exc}")

@@ -600,16 +600,11 @@ LOCKSTEP_MATRIX = [
 def test_lockstep_kernel_matrix_bit_identical(name, ftype, mode):
     import numpy as np
 
-    from repro.compiler import compile_source
-    from repro.harness.runner import _stage_args
+    from repro.harness.runner import _stage_args, compile_point
     from repro.sim.lockstep import Lane, run_lockstep
 
     spec = KERNELS[name]
-    if mode == "manual":
-        kernel = compile_source(spec.manual_source_fn(ftype))
-    else:
-        kernel = compile_source(spec.source_fn(ftype),
-                                vectorize_loops=(mode == "auto"))
+    kernel = compile_point(spec, ftype, mode)
     lanes, staged = [], []
     for seed in range(3):
         run_params = dict(spec.params)
