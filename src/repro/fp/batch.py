@@ -17,19 +17,22 @@ Correctness sketch (all arrays are binary64):
   ``s + e`` to the target format.  Rounding s directly would double
   round, so ``s`` is first adjusted to *round-to-odd* (if ``e != 0``
   and s's last bit is even, nudge s one ulp toward e).  By the standard
-  round-to-odd theorem, RNE_p(odd_q(x)) == RNE_p(x) for q >= 2p + 2;
-  binary64 (53 bits) qualifies for every target here.  The two formats
-  numpy cannot cast to directly (binary16alt, binary8) chain through an
-  intermediate round-to-odd at binary32/binary16 -- legal because the
-  intermediate keeps >= p + 2 bits and shares the target's emin, so
-  subnormal grids align.
-* Flags: NX  iff the exact value was not representable, i.e.
-  ``e != 0 or decode(result) != s``.  OF iff the rounded result is
+  round-to-odd theorem, RNE_p(odd_q(x)) == RNE_p(x) for q >= p + 2;
+  binary64 (53 bits) qualifies for every target here.  Where every sum
+  of two finite values fits in 53 bits (binary16, binary8) an add needs
+  no TwoSum at all: ``s`` is already exact.
+* The one rounding is numpy's ``astype`` for binary32 and binary16.
+  binary16alt and binary8 have no numpy dtype; they search a table of
+  round-up thresholds (:func:`_round_up_thresholds`) whose ties already
+  go to even and whose last entry is the overflow bound.
+* Flags: after the nudge ``v`` is either exact or has an odd 53rd bit,
+  so NX iff ``decode(result) != v``.  OF iff the rounded result is
   infinite while the exact value is finite.  UF follows the RISC-V
   tininess-after-rounding rule: tiny iff |exact| < 2^emin *
   (1 - 2^-(p+1)) (the point below which unbounded-range rounding stays
-  under 2^emin), decided exactly from ``(s, e)``; UF is raised only
-  together with NX.
+  under 2^emin); that threshold has at most p + 1 bits and an even
+  53rd bit, so ``|v|`` decides it like the exact value.  UF is raised
+  only together with NX.
 * Anything this module cannot prove exact falls back: operations on
   NaN/infinity operands, non-RNE rounding, non-IEEE guest formats, and
   dot products whose accumulation leaves the double-double window.
@@ -39,8 +42,9 @@ The same argument, one value at a time, gives the fast-path engine
 (:mod:`repro.sim.blocks`) its FP core: :func:`scalar_ops` returns
 add/sub/mul/fma over Python floats (which are binary64) that decode
 exactly through ``struct``, take the exact value as ``s`` plus a TwoSum
-residual, nudge ``s`` to round-to-odd and round once with a ``struct``
-pack.  Two facts make the scalar flags cheap: the overflow bound
+residual, nudge ``s`` to round-to-odd and round once: a ``struct``
+pack for binary32/binary16, a bisection of the same threshold table
+for binary16alt/binary8.  Two facts make the scalar flags cheap: the overflow bound
 ``2^emax * (2 - 2^-p)`` and the tininess threshold both carry at most
 ``p + 1`` significand bits, so they are binary64 values with an even
 last bit, and comparing the round-to-odd value against them decides
@@ -53,11 +57,13 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from bisect import bisect_right
+from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
 
 from . import arith
+from .convert import fcvt_f2f
 from .flags import NV, OF, UF, NX
 from .formats import FloatFormat
 from .numpy_backend import from_bits
@@ -69,6 +75,7 @@ _SUPPORTED = ("binary32", "binary16", "binary16alt", "binary8")
 
 _U32 = np.uint32
 _U64 = np.uint64
+_U8 = np.uint8
 
 
 _suppressed = 0
@@ -146,7 +153,7 @@ def decode(fmt: FloatFormat, bits: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Round-to-odd helpers
+# Rounding: binary64 (already round-to-odd adjusted) -> (bits, value)
 # ----------------------------------------------------------------------
 def _cast(v: np.ndarray, dtype) -> np.ndarray:
     """``astype`` with overflow warnings silenced (cheap when a
@@ -165,38 +172,61 @@ def _odd_fix64(s: np.ndarray, e: np.ndarray) -> np.ndarray:
     residual (round-to-odd).
     """
     fix = (e != 0) & ((s.view(_U64) & _U64(1)) == 0)
-    if not fix.any():
+    if not np.count_nonzero(fix):
         return s
-    direction = np.where(e > 0, np.inf, -np.inf)
-    return np.where(fix, np.nextafter(s, direction), s)
+    return np.where(fix, np.nextafter(s, np.copysign(np.inf, e)), s)
 
 
-def _odd_cast(v: np.ndarray, dtype) -> np.ndarray:
-    """Round-to-odd cast of finite binary64 values to f32/f16.
+_MAGNITUDES: Dict[str, np.ndarray] = {}
 
-    Never yields an infinity for finite input: an overflowing cast is
-    pulled back to the (odd-mantissa) largest finite value, preserving
-    every downstream RNE decision including overflow-to-infinity.
+
+def _magnitudes(fmt: FloatFormat) -> np.ndarray:
+    """Exact values of the codes 0 .. ``max_finite``, ascending.
+
+    Built in int32 rather than through ``from_bits``, whose int64
+    temporaries would add ~1 MB to the peak RSS of a process that only
+    ever runs the fast path."""
+    mags = _MAGNITUDES.get(fmt.name)
+    if mags is None:
+        code = np.arange(fmt.max_finite + 1, dtype=np.int32)
+        exp = np.maximum(code >> fmt.man_bits, 1)  # subnormals: as 1
+        code -= (exp - 1) << fmt.man_bits  # significand with hidden bit
+        exp += fmt.emin - 1 - fmt.man_bits
+        mags = np.ldexp(code.astype(np.float64), exp)
+        mags.setflags(write=False)
+        _MAGNITUDES[fmt.name] = mags
+    return mags
+
+
+_THRESHOLDS: Dict[str, np.ndarray] = {}
+
+
+def _round_up_thresholds(fmt: FloatFormat) -> np.ndarray:
+    """Ascending binary64 array: ``t[k]`` is the smallest magnitude that
+    RNE rounds above magnitude code ``k``.
+
+    Neighbouring values of a format with at most 16 bits have an exact
+    binary64 midpoint.  A midpoint goes to the even code, so above an
+    even ``k`` the threshold is the next binary64 value.  The last entry
+    is the overflow bound, so ``searchsorted(t, |v|, 'right')`` is the
+    RNE magnitude code of ``v``, infinity included.
     """
-    f = _cast(v, dtype)
-    back = f.astype(np.float64)
-    inexact = back != v
-    if inexact.any():
-        u = f.view({np.dtype(np.float32): _U32,
-                    np.dtype(np.float16): np.uint16}[f.dtype])
-        fix = inexact & ((u & type(u[0])(1)) == 0)
-        if fix.any():
-            direction = np.where(v > back, dtype(np.inf), dtype(-np.inf))
-            f = np.where(fix, np.nextafter(f, direction), f)
-    return f
+    t = _THRESHOLDS.get(fmt.name)
+    if t is None:
+        mags = _magnitudes(fmt)
+        t = np.empty_like(mags)
+        np.add(mags[:-1], mags[1:], out=t[:-1])
+        t[:-1] /= 2  # exact midpoints
+        t[:-1:2] = np.nextafter(t[:-1:2], np.inf)  # even k: ties go down
+        t[-1] = _overflow_bound(fmt)
+        t.setflags(write=False)
+        _THRESHOLDS[fmt.name] = t
+    return t
 
 
-# ----------------------------------------------------------------------
-# Encoders: binary64 (already round-to-odd adjusted) -> (bits, value)
-# ----------------------------------------------------------------------
 def _encode_b32(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     f = _cast(v, np.float32)
-    return f.view(_U32).astype(_U32), f.astype(np.float64)
+    return f.view(_U32), f.astype(np.float64)
 
 
 def _encode_b16(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -204,27 +234,17 @@ def _encode_b16(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return f.view(np.uint16).astype(_U32), f.astype(np.float64)
 
 
-def _encode_b16alt(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # Through round-to-odd binary32 (same emin; 24 >= 8 + 2 bits), then
-    # the classic carry-propagating RNE truncation of the low 16 bits.
-    b = _odd_cast(v, np.float32).view(_U32)
-    r = (b + _U32(0x7FFF) + ((b >> _U32(16)) & _U32(1))) >> _U32(16)
-    return r, (r << _U32(16)).view(np.float32).astype(np.float64)
+def _encode_by_table(fmt: FloatFormat,
+                     v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """binary16alt/binary8: magnitude code from the threshold table,
+    sign bit from binary64's."""
+    code = np.searchsorted(_round_up_thresholds(fmt), np.abs(v), "right")
+    bits = code.astype(_U32) | ((v.view(_U64) >> _U64(63)).astype(_U32)
+                                << _U32(fmt.width - 1))
+    return bits, _table(fmt)[bits]
 
 
-def _encode_b8(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # Through round-to-odd binary16 (same emin; 11 >= 3 + 2 bits).
-    b = _odd_cast(v, np.float16).view(np.uint16).astype(_U32)
-    r = (b + _U32(0x7F) + ((b >> _U32(8)) & _U32(1))) >> _U32(8)
-    return r, _TABLES["binary8"][r]
-
-
-_ENCODERS = {
-    "binary32": _encode_b32,
-    "binary16": _encode_b16,
-    "binary16alt": _encode_b16alt,
-    "binary8": _encode_b8,
-}
+_ENCODERS = {"binary32": _encode_b32, "binary16": _encode_b16}
 
 #: Underflow-tininess thresholds: |exact| < 2^emin * (1 - 2^-(p+1))
 #: means unbounded-range RNE stays below the smallest normal.
@@ -239,33 +259,34 @@ def _tiny_threshold(fmt: FloatFormat) -> float:
     return t
 
 
+def _sum_is_exact(fmt: FloatFormat) -> bool:
+    """True when the sum of any two finite ``fmt`` values is a binary64
+    value: every bit from 2^(emax+1) down to the smallest subnormal's
+    2^(emin-p+1) fits in 53 (binary16: 41, binary8: 33)."""
+    return fmt.emax + 2 - (fmt.emin - fmt.precision + 1) <= 53
+
+
 def _finish(fmt: FloatFormat, s: np.ndarray, e) -> Tuple[np.ndarray, np.ndarray]:
     """Round the exact value ``s + e`` into ``fmt`` with exact flags.
 
     ``s`` must be the binary64 RN of the exact value and ``e`` the exact
     residual (``None`` means exact-in-binary64, e.g. products).  Inputs
     must be finite; non-finite lanes are the caller's fallback problem.
-    Returns ``(bits, flags)`` as uint32/uint8 arrays.
+    After the round-to-odd nudge ``v`` is exact or has an odd 53rd bit,
+    so ``q != v`` is NX and ``|v|`` decides tininess like the exact
+    value would.  Returns ``(bits, flags)`` as uint32/uint8 arrays.
     """
-    if fmt.width == 8:
-        _table(fmt)  # _encode_b8 indexes the table directly
     v = s if e is None else _odd_fix64(s, e)
-    bits, q = _ENCODERS[fmt.name](v)
-    inexact = q != s
-    if e is not None:
-        inexact = inexact | (e != 0)
-    flags = inexact.astype(np.uint8) * np.uint8(NX)
+    encode = _ENCODERS.get(fmt.name)
+    bits, q = encode(v) if encode else _encode_by_table(fmt, v)
+    inexact = q != v
+    flags = inexact.view(_U8)  # NX is bit 0
     overflow = np.isinf(q)
-    if overflow.any():
-        flags = flags | overflow.astype(np.uint8) * np.uint8(OF)
-    mag = np.abs(s)
-    tiny = mag < _tiny_threshold(fmt)
-    if e is not None:
-        tiny = tiny | ((mag == _tiny_threshold(fmt)) & (e != 0)
-                       & (np.signbit(e) != np.signbit(s)))
-    underflow = inexact & tiny
-    if underflow.any():
-        flags = flags | underflow.astype(np.uint8) * np.uint8(UF)
+    if np.count_nonzero(overflow):
+        flags = flags | overflow.view(_U8) * _U8(OF)
+    underflow = inexact & (np.abs(v) < _tiny_threshold(fmt))
+    if np.count_nonzero(underflow):
+        flags = flags | underflow.view(_U8) * _U8(UF)
     return bits, flags
 
 
@@ -275,6 +296,22 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     bv = s - a
     e = (a - (s - bv)) + (b - bv)
     return s, e
+
+
+def _round_finite(fmt: FloatFormat, s: np.ndarray, e
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_finish` with the non-finite lanes of ``s`` marked fallback.
+
+    Every finite operand is at most 2^128 and every product of two at
+    most 2^256, so a non-finite binary64 ``s`` means exactly that some
+    operand was a NaN or an infinity."""
+    fallback = ~np.isfinite(s)
+    if np.count_nonzero(fallback):  # keep the finisher warning-free
+        s = np.where(fallback, 0.0, s)
+        if e is not None:
+            e = np.where(fallback, 0.0, e)
+    bits, flags = _finish(fmt, s, e)
+    return bits, flags, fallback
 
 
 # ----------------------------------------------------------------------
@@ -290,13 +327,9 @@ def add(fmt: FloatFormat, a: np.ndarray, b: np.ndarray,
     b64 = decode(fmt, b)
     if sub:
         b64 = -b64
-    fallback = ~(np.isfinite(a64) & np.isfinite(b64))
-    s, e = _two_sum(a64, b64)
-    if fallback.any():  # keep the finisher warning-free
-        s = np.where(fallback, 0.0, s)
-        e = np.where(fallback, 0.0, e)
-    bits, flags = _finish(fmt, s, e)
-    return bits, flags, fallback
+    if _sum_is_exact(fmt):
+        return _round_finite(fmt, a64 + b64, None)
+    return _round_finite(fmt, *_two_sum(a64, b64))
 
 
 @_quiet
@@ -305,14 +338,8 @@ def mul(fmt: FloatFormat, a: np.ndarray, b: np.ndarray,
     """``a * b`` rounded into ``fmt``; ``src`` (default ``fmt``) is the
     operand format -- a narrower ``src`` models fmulex."""
     opfmt = src or fmt
-    a64 = decode(opfmt, a)
-    b64 = decode(opfmt, b)
-    fallback = ~(np.isfinite(a64) & np.isfinite(b64))
-    s = a64 * b64  # exact: 2p <= 48 bits
-    if fallback.any():
-        s = np.where(fallback, 0.0, s)
-    bits, flags = _finish(fmt, s, None)
-    return bits, flags, fallback
+    # exact: 2p <= 48 bits
+    return _round_finite(fmt, decode(opfmt, a) * decode(opfmt, b), None)
 
 
 @_quiet
@@ -325,34 +352,40 @@ def fma(fmt: FloatFormat, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     ``src`` models the expanding fmacex, whose product stays exact in
     binary64 just the same (2 * p_src <= 48)."""
     opfmt = src or fmt
-    a64 = decode(opfmt, a)
-    b64 = decode(opfmt, b)
+    prod = decode(opfmt, a) * decode(opfmt, b)  # exact
     c64 = decode(fmt, c)
-    fallback = ~(np.isfinite(a64) & np.isfinite(b64) & np.isfinite(c64))
-    prod = a64 * b64  # exact
     if negate_product:
         prod = -prod
     if negate_addend:
         c64 = -c64
-    s, e = _two_sum(prod, c64)
-    if fallback.any():
-        s = np.where(fallback, 0.0, s)
-        e = np.where(fallback, 0.0, e)
-    bits, flags = _finish(fmt, s, e)
-    return bits, flags, fallback
+    return _round_finite(fmt, *_two_sum(prod, c64))
+
+
+_CVT_TABLES: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _cvt_table(src: FloatFormat, dst: FloatFormat):
+    """``(bits, flags)`` of every ``src`` code converted to ``dst`` at
+    RNE, from the scalar conversion itself."""
+    table = _CVT_TABLES.get((src.name, dst.name))
+    if table is None:
+        rows = [fcvt_f2f(src, dst, code, _RNE)
+                for code in range(1 << src.width)]
+        table = (np.array([b for b, _ in rows], dtype=_U32),
+                 np.array([f for _, f in rows], dtype=np.uint8))
+        _CVT_TABLES[(src.name, dst.name)] = table
+    return table
 
 
 @_quiet
 def cvt(src: FloatFormat, dst: FloatFormat,
         a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Format conversion (fcvt.f2f): exact value, one rounding."""
-    a64 = decode(src, a)
-    fallback = ~np.isfinite(a64)
-    s = a64
-    if fallback.any():
-        s = np.where(fallback, 0.0, s)
-    bits, flags = _finish(dst, s, None)
-    return bits, flags, fallback
+    """Format conversion (fcvt.f2f): exact value, one rounding.  An
+    8-bit source reads its 256-entry table and never falls back."""
+    if src.width == 8:
+        bits, flags = _cvt_table(src, dst)
+        return bits[a], flags[a], np.zeros(a.shape, dtype=bool)
+    return _round_finite(dst, decode(src, a), None)
 
 
 def _signaling(fmt: FloatFormat, bits: np.ndarray,
@@ -379,35 +412,34 @@ def cmp(fmt: FloatFormat, op: str, a: np.ndarray,
     else:  # "le"
         result = a64 <= b64
         invalid = a_nan | b_nan
-    return result.astype(_U32), invalid.astype(np.uint8) * np.uint8(NV)
+    return result.astype(_U32), invalid.view(np.uint8) * np.uint8(NV)
 
 
 @_quiet
 def dotp(src: FloatFormat, dst: FloatFormat, acc: np.ndarray,
-         a_lanes: List[np.ndarray], b_lanes: List[np.ndarray],
+         a: np.ndarray, b: np.ndarray,
          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """vfdotpex.s.*: exact expanding dot product with one dst rounding.
 
-    The exact accumulation is tracked as a double-double ``(hi, lo)``
-    grown with TwoSum; any lane whose accumulation sheds a bit past the
-    106-bit window (or touches a non-finite value, or sums to exactly
-    zero, whose sign needs the scalar core's rule) is marked fallback.
+    ``a`` and ``b`` are ``(nl, n)`` arrays of ``src`` bit patterns, one
+    row per sub-lane; all products are formed at once.  The exact
+    accumulation is tracked as a double-double ``(hi, lo)`` grown with
+    TwoSum; any lane whose accumulation sheds a bit past the 106-bit
+    window (or touches a non-finite value, or sums to exactly zero,
+    whose sign needs the scalar core's rule) is marked fallback.
     """
     hi = decode(dst, acc)
-    ok = np.isfinite(hi)
+    terms = decode(src, a) * decode(src, b)  # exact: 2p <= 22 bits
     lo = np.zeros_like(hi)
     exact = np.ones(hi.shape, dtype=bool)
-    for a_bits, b_bits in zip(a_lanes, b_lanes):
-        a64 = decode(src, a_bits)
-        b64 = decode(src, b_bits)
-        ok &= np.isfinite(a64) & np.isfinite(b64)
-        term = a64 * b64  # exact: 2p <= 22 bits
+    for term in terms:
         sh, eh = _two_sum(hi, term)
         sl, el = _two_sum(lo, eh)
         exact &= el == 0
         hi, lo = _two_sum(sh, sl)  # renormalize, exactly
-    fallback = ~ok | ~exact | (hi == 0.0)
-    if fallback.any():
+    # A NaN or infinity anywhere leaves hi non-finite.
+    fallback = ~(np.isfinite(hi) & exact) | (hi == 0.0)
+    if np.count_nonzero(fallback):
         hi = np.where(fallback, 0.0, hi)
         lo = np.where(fallback, 0.0, lo)
     bits, flags = _finish(dst, hi, lo)
@@ -441,10 +473,9 @@ def _decoder_encoder(fmt: FloatFormat):
 
     ``decode(bits)`` is the exact value; ``encode(v)`` rounds a finite,
     non-overflowing binary64 value (already round-to-odd adjusted) to
-    ``(bits, value)``.  binary16alt and binary8 have no struct code:
-    they round to odd at binary32/binary16 (same emin, >= p + 2 bits)
-    and finish with the carry truncation of ``_encode_b16alt`` and
-    ``_encode_b8``.
+    ``(bits, value)``.  binary32 and binary16 round with a ``struct``
+    pack; binary16alt and binary8 have no struct code and bisect the
+    magnitude in :func:`_round_up_thresholds`.
     """
     f32_pack, f32_unpack = _F32.pack, _F32.unpack
     u32_pack, u32_unpack = _U32S.pack, _U32S.unpack
@@ -458,41 +489,36 @@ def _decoder_encoder(fmt: FloatFormat):
         def encode(v):
             raw = f32_pack(v)
             return u32_unpack(raw)[0], f32_unpack(raw)[0]
-    elif fmt.name == "binary16":
+        return decode, encode
+    if fmt.name == "binary16":
         def decode(bits):
             return f16_unpack(u16_pack(bits))[0]
 
         def encode(v):
             raw = f16_pack(v)
             return u16_unpack(raw)[0], f16_unpack(raw)[0]
-    elif fmt.name == "binary16alt":
+        return decode, encode
+
+    if fmt.name == "binary16alt":
         def decode(bits):
             return f32_unpack(u32_pack(bits << 16))[0]
-
-        def encode(v):
-            raw = f32_pack(v)
-            b = u32_unpack(raw)[0]
-            if not b & 1:
-                f = f32_unpack(raw)[0]
-                if f != v:  # round to odd, away from or toward zero
-                    b += 1 if abs(v) > abs(f) else -1
-            r = (b + 0x7FFF + ((b >> 16) & 1)) >> 16
-            return r, f32_unpack(u32_pack(r << 16))[0]
     else:  # binary8
-        values = _table(fmt).tolist()
+        decode = _table(fmt).tolist().__getitem__
+    # Views of the numpy tables, not lists: a list of binary16alt's
+    # 32,640 floats would take ~1 MB per table.
+    thresholds = memoryview(_round_up_thresholds(fmt))
+    mags = memoryview(_magnitudes(fmt))
+    sign = fmt.sign_mask
+    copysign = math.copysign
 
-        def decode(bits):
-            return values[bits]
-
-        def encode(v):
-            raw = f16_pack(v)
-            h = u16_unpack(raw)[0]
-            if not h & 1:
-                f = f16_unpack(raw)[0]
-                if f != v:
-                    h += 1 if abs(v) > abs(f) else -1
-            r = (h + 0x7F + ((h >> 8) & 1)) >> 8
-            return r, values[r]
+    def encode(v):
+        if v > 0:
+            code = bisect_right(thresholds, v)
+            return code, mags[code]
+        if v < 0:
+            code = bisect_right(thresholds, -v)
+            return code | sign, -mags[code]
+        return (sign if copysign(1.0, v) < 0 else 0), v
     return decode, encode
 
 

@@ -393,7 +393,7 @@ class _Batch:
                     self.fflags |= _U8(flags & 31)
         else:
             fl = flags.astype(_U8) & _U8(31)
-            if not fl.any():
+            if not np.count_nonzero(fl):
                 return
             if _is_uniform(self.fflags):
                 self.fflags = _U8(self.fflags) | fl
@@ -537,6 +537,20 @@ def _nop_entry(bt) -> None:
 
 def _drain_entry(bt) -> None:
     raise _Drain()
+
+
+def _split(v: np.ndarray, shifts: np.ndarray, umask) -> np.ndarray:
+    """``(n,)`` packed registers -> ``(nl, n)`` sub-lane bit patterns."""
+    return (v >> shifts) & umask
+
+
+def _join(res, shifts: np.ndarray):
+    """An ``(nl, n)`` ``(bits, flags, fallback)`` result -> one per
+    register: bits shifted back into place, flags and fallback ORed."""
+    bits, fl, fb = res
+    return (np.bitwise_or.reduce(bits << shifts, axis=0),
+            np.bitwise_or.reduce(fl, axis=0),
+            np.logical_or.reduce(fb, axis=0))
 
 
 def _lanewise(n: int, fn):
@@ -975,12 +989,8 @@ class LockstepEngine:
             return self._bind_fcmp(i, kind)
         if kind == "fcvt_f2f":
             return self._bind_fcvt(i)
-        if kind in _VEC3:
-            return self._bind_vec_arith(i, kind)
-        if kind == "vfmac":
-            return self._bind_vfmac(i)
-        if kind == "vfdotpex":
-            return self._bind_vfdotpex(i)
+        if kind in _VEC3 or kind in ("vfmac", "vfdotpex"):
+            return self._bind_packed(i, kind)
         if kind in _SCRATCH_KINDS:
             return self._bind_scratch(i)
         return _drain_entry  # ecall/ebreak/unknown: scalar core decides
@@ -1072,7 +1082,7 @@ class LockstepEngine:
                     bits, fl, fb = fpbatch.mul(fmt, av, bv)
                 else:
                     bits, fl, fb = fpbatch.add(fmt, av, bv, sub=sub)
-                if fb.any():
+                if np.count_nonzero(fb):
                     for l in np.nonzero(fb)[0]:
                         b_, f_ = sop(fmt, int(av[l]), int(bv[l]), rm)
                         bits[l] = b_ & mask
@@ -1114,7 +1124,7 @@ class LockstepEngine:
                 bits, fl, fb = fpbatch.fma(fmt, av, bv, cv,
                                            negate_product=np_,
                                            negate_addend=na)
-                if fb.any():
+                if np.count_nonzero(fb):
                     for l in np.nonzero(fb)[0]:
                         b_, f_ = arith.ffma(
                             fmt, int(av[l]), int(bv[l]), int(cv[l]), rm,
@@ -1156,7 +1166,7 @@ class LockstepEngine:
             bv = bt.read_x_vec(rs2) & usmask
             if vec_ok and rm is _RNE:
                 bits, fl, fb = fpbatch.mul(dst, av, bv, src=src)
-                if fb.any():
+                if np.count_nonzero(fb):
                     for l in np.nonzero(fb)[0]:
                         b_, f_ = arith.fmul_widen(src, dst, int(av[l]),
                                                   int(bv[l]), rm)
@@ -1197,7 +1207,7 @@ class LockstepEngine:
             cv = bt.read_x_vec(rd)
             if vec_ok and rm is _RNE:
                 bits, fl, fb = fpbatch.fma(dst, av, bv, cv, src=src)
-                if fb.any():
+                if np.count_nonzero(fb):
                     for l in np.nonzero(fb)[0]:
                         b_, f_ = arith.fma_mixed(src, dst, int(av[l]),
                                                  int(bv[l]), int(cv[l]), rm)
@@ -1263,7 +1273,7 @@ class LockstepEngine:
             av = bt.read_x_vec(rs1) & usmask
             if vec_ok and rm is _RNE:
                 bits, fl, fb = fpbatch.cvt(src, dst, av)
-                if fb.any():
+                if np.count_nonzero(fb):
                     for l in np.nonzero(fb)[0]:
                         b_, f_ = _fcvt_scalar(src, dst, int(av[l]), rm)
                         bits[l] = b_ & dmask
@@ -1279,8 +1289,16 @@ class LockstepEngine:
 
     # -- packed-SIMD, vectorized over the batch --------------------------
 
-    def _bind_vec_arith(self, i, kind):
-        fmt = registry.by_suffix(i.spec.fp_fmt)
+    def _bind_packed(self, i, kind):
+        """vfadd/vfsub/vfmul, vfmac and vfdotpex on packed registers.
+
+        The ``nl`` sub-lanes of every lane are split once into an
+        ``(nl, n)`` array, so one :mod:`repro.fp.batch` call covers the
+        whole batch; lanes it marks fallback rerun the scalar op on the
+        full register.
+        """
+        fmt = registry.by_suffix(i.spec.src_fmt if kind == "vfdotpex"
+                                 else i.spec.fp_fmt)
         if fmt.width >= 32:
             return self._bind_scratch(i)
         getrm = _rm_resolver(i)
@@ -1290,185 +1308,76 @@ class LockstepEngine:
         nl = 32 // w
         fmt_mask = fmt.bits_mask
         umask = _U32(fmt_mask)
+        shifts = (np.arange(nl, dtype=_U32) * _U32(w))[:, None]
+        # The .r forms replicate rs2's sub-lane 0 into every sub-lane.
         repl = bool(i.spec.repl)
-        repl_factor = (sum(1 << (k * w) for k in range(nl)) if repl else None)
+        bshifts = np.zeros_like(shifts) if repl else shifts
+        repl_factor = sum(1 << (k * w) for k in range(nl))
         vec_ok = fpbatch.batchable(fmt)
-        sop, sub, ismul = _VEC3[kind]
+        reads_rd = kind not in _VEC3
         rd, rs1, rs2 = i.rd, i.rs1, i.rs2
+
+        if kind in _VEC3:
+            sop, sub, ismul = _VEC3[kind]
+
+            def scalar(c, a, b, rm):
+                return sop(fmt, 32, a, b, rm)
+
+            def batched(av, bv, cv):
+                a_, b_ = _split(av, shifts, umask), _split(bv, bshifts, umask)
+                if ismul:
+                    return _join(fpbatch.mul(fmt, a_, b_), shifts)
+                return _join(fpbatch.add(fmt, a_, b_, sub=sub), shifts)
+        elif kind == "vfmac":
+            def scalar(c, a, b, rm):
+                return simd.vfmac(fmt, 32, c, a, b, rm)
+
+            def batched(av, bv, cv):
+                return _join(fpbatch.fma(fmt, _split(av, shifts, umask),
+                                         _split(bv, bshifts, umask),
+                                         _split(cv, shifts, umask)), shifts)
+        else:
+            dst = FORMATS_BY_SUFFIX["s"]
+
+            def scalar(c, a, b, rm):
+                return simd.vfdotpex(fmt, dst, 32, c & MASK32, a, b, rm)
+
+            def batched(av, bv, cv):
+                return fpbatch.dotp(fmt, dst, cv, _split(av, shifts, umask),
+                                    _split(bv, bshifts, umask))
 
         def run(bt):
             rm = getrm(bt)
             a, b = bt.xregs[rs1], bt.xregs[rs2]
-            if type(a) is int and type(b) is int:
+            c = bt.xregs[rd] if reads_rd else 0
+            if type(a) is int and type(b) is int and type(c) is int:
                 beff = (b & fmt_mask) * repl_factor if repl else b
-                bits, fl = sop(fmt, 32, a, beff, rm)
+                bits, fl = scalar(c, a, beff, rm)
                 bt.accrue(fl)
                 if rd:
                     bt.xregs[rd] = bits & MASK32
                 return
             av = bt.read_x_vec(rs1)
             bv = bt.read_x_vec(rs2)
+            cv = bt.read_x_vec(rd) if reads_rd else None
+
+            def one(l):
+                bl = int(bv[l])
+                return scalar(int(cv[l]) if reads_rd else 0, int(av[l]),
+                              (bl & fmt_mask) * repl_factor if repl else bl,
+                              rm)
             if vec_ok and rm is _RNE:
-                out = np.zeros(bt.n, dtype=_U32)
-                flt = np.zeros(bt.n, dtype=_U8)
-                fb_any = np.zeros(bt.n, dtype=bool)
-                for k in range(nl):
-                    ak = (av >> _U32(k * w)) & umask
-                    bk = (bv & umask) if repl else ((bv >> _U32(k * w))
-                                                   & umask)
-                    if ismul:
-                        bits_k, fl_k, fb_k = fpbatch.mul(fmt, ak, bk)
-                    else:
-                        bits_k, fl_k, fb_k = fpbatch.add(fmt, ak, bk,
-                                                         sub=sub)
-                    out |= bits_k << _U32(k * w)
-                    flt |= fl_k
-                    fb_any |= fb_k
-                if fb_any.any():
-                    for l in np.nonzero(fb_any)[0]:
-                        bfull = int(bv[l])
-                        beff = ((bfull & fmt_mask) * repl_factor
-                                if repl else bfull)
-                        b_, f_ = sop(fmt, 32, int(av[l]), beff, rm)
-                        out[l] = b_ & MASK32
-                        flt[l] = f_
-            else:
-                def one(l):
-                    bfull = int(bv[l])
-                    beff = ((bfull & fmt_mask) * repl_factor
-                            if repl else bfull)
-                    return sop(fmt, 32, int(av[l]), beff, rm)
-                out, flt = _lanewise(bt.n, one)
-            bt.accrue(flt)
-            if rd:
-                bt.xregs[rd] = out
-        return run
-
-    def _bind_vfmac(self, i):
-        fmt = registry.by_suffix(i.spec.fp_fmt)
-        if fmt.width >= 32:
-            return self._bind_scratch(i)
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        w = fmt.width
-        nl = 32 // w
-        fmt_mask = fmt.bits_mask
-        umask = _U32(fmt_mask)
-        repl = bool(i.spec.repl)
-        repl_factor = (sum(1 << (k * w) for k in range(nl)) if repl else None)
-        vec_ok = fpbatch.batchable(fmt)
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-
-        def run(bt):
-            rm = getrm(bt)
-            a, b = bt.xregs[rs1], bt.xregs[rs2]
-            acc = bt.xregs[rd]
-            if type(a) is int and type(b) is int and type(acc) is int:
-                beff = (b & fmt_mask) * repl_factor if repl else b
-                bits, fl = simd.vfmac(fmt, 32, acc, a, beff, rm)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = bits & MASK32
-                return
-            av = bt.read_x_vec(rs1)
-            bv = bt.read_x_vec(rs2)
-            cv = bt.read_x_vec(rd)
-            if vec_ok and rm is _RNE:
-                out = np.zeros(bt.n, dtype=_U32)
-                flt = np.zeros(bt.n, dtype=_U8)
-                fb_any = np.zeros(bt.n, dtype=bool)
-                for k in range(nl):
-                    ak = (av >> _U32(k * w)) & umask
-                    bk = (bv & umask) if repl else ((bv >> _U32(k * w))
-                                                   & umask)
-                    ck = (cv >> _U32(k * w)) & umask
-                    bits_k, fl_k, fb_k = fpbatch.fma(fmt, ak, bk, ck)
-                    out |= bits_k << _U32(k * w)
-                    flt |= fl_k
-                    fb_any |= fb_k
-                if fb_any.any():
-                    for l in np.nonzero(fb_any)[0]:
-                        bfull = int(bv[l])
-                        beff = ((bfull & fmt_mask) * repl_factor
-                                if repl else bfull)
-                        b_, f_ = simd.vfmac(fmt, 32, int(cv[l]),
-                                            int(av[l]), beff, rm)
-                        out[l] = b_ & MASK32
-                        flt[l] = f_
-            else:
-                def one(l):
-                    bfull = int(bv[l])
-                    beff = ((bfull & fmt_mask) * repl_factor
-                            if repl else bfull)
-                    return simd.vfmac(fmt, 32, int(cv[l]), int(av[l]),
-                                      beff, rm)
-                out, flt = _lanewise(bt.n, one)
-            bt.accrue(flt)
-            if rd:
-                bt.xregs[rd] = out
-        return run
-
-    def _bind_vfdotpex(self, i):
-        src = registry.by_suffix(i.spec.src_fmt)
-        dst = FORMATS_BY_SUFFIX["s"]
-        if src.width >= 32:
-            return self._bind_scratch(i)
-        getrm = _rm_resolver(i)
-        if getrm is None:
-            return _drain_entry
-        w = src.width
-        nl = 32 // w
-        fmt_mask = src.bits_mask
-        umask = _U32(fmt_mask)
-        repl = bool(i.spec.repl)
-        repl_factor = (sum(1 << (k * w) for k in range(nl)) if repl else None)
-        vec_ok = fpbatch.batchable(src)
-        rd, rs1, rs2 = i.rd, i.rs1, i.rs2
-
-        def run(bt):
-            rm = getrm(bt)
-            a, b = bt.xregs[rs1], bt.xregs[rs2]
-            acc = bt.xregs[rd]
-            if type(a) is int and type(b) is int and type(acc) is int:
-                beff = (b & fmt_mask) * repl_factor if repl else b
-                bits, fl = simd.vfdotpex(src, dst, 32, acc & MASK32, a,
-                                         beff, rm)
-                bt.accrue(fl)
-                if rd:
-                    bt.xregs[rd] = bits & MASK32
-                return
-            av = bt.read_x_vec(rs1)
-            bv = bt.read_x_vec(rs2)
-            cv = bt.read_x_vec(rd)
-            if vec_ok and rm is _RNE:
-                a_lanes = [(av >> _U32(k * w)) & umask for k in range(nl)]
-                if repl:
-                    b_lanes = [bv & umask for _ in range(nl)]
-                else:
-                    b_lanes = [(bv >> _U32(k * w)) & umask
-                               for k in range(nl)]
-                bits, fl, fb = fpbatch.dotp(src, dst, cv, a_lanes, b_lanes)
-                if fb.any():
+                out, flt, fb = batched(av, bv, cv)
+                if np.count_nonzero(fb):
                     for l in np.nonzero(fb)[0]:
-                        bfull = int(bv[l])
-                        beff = ((bfull & fmt_mask) * repl_factor
-                                if repl else bfull)
-                        b_, f_ = simd.vfdotpex(src, dst, 32, int(cv[l]),
-                                               int(av[l]), beff, rm)
-                        bits[l] = b_ & MASK32
-                        fl[l] = f_
+                        b_, f_ = one(l)
+                        out[l] = b_ & MASK32
+                        flt[l] = f_
             else:
-                def one(l):
-                    bfull = int(bv[l])
-                    beff = ((bfull & fmt_mask) * repl_factor
-                            if repl else bfull)
-                    return simd.vfdotpex(src, dst, 32, int(cv[l]),
-                                         int(av[l]), beff, rm)
-                bits, fl = _lanewise(bt.n, one)
-            bt.accrue(fl)
+                out, flt = _lanewise(bt.n, one)
+            bt.accrue(flt)
             if rd:
-                bt.xregs[rd] = bits
+                bt.xregs[rd] = out
         return run
 
     # ------------------------------------------------------------------

@@ -749,3 +749,62 @@ def test_lockstep_store_divergent_address():
     ret
     """, [{10: 0x3000, 11: 5}, {10: 0x4000, 11: 9}],
         label="store-div-addr")
+
+
+# Packed ops run every sub-lane of every lane in one batched call and
+# merge the scalar fallback back per lane.  Here only one lane needs the
+# fallback, through its upper sub-lane alone, and its neighbours carry
+# inexact, overflowing and subnormal sub-lanes of their own.
+PACKED_FALLBACK = [
+    # (mnemonic, ftype, whether rd is also read as the accumulator)
+    ("vfadd.h", "float16", False),
+    ("vfmul.r.b", "float8", False),
+    ("vfmac.ah", "float16alt", True),
+]
+
+
+@pytest.mark.parametrize("op,ftype,acc", PACKED_FALLBACK,
+                         ids=[p[0] for p in PACKED_FALLBACK])
+@pytest.mark.parametrize("special", ["qnan", "snan", "+inf", "-inf"])
+def test_lockstep_packed_upper_sublane_fallback(op, ftype, acc, special):
+    from repro.fp import lookup
+
+    f = Fmt(ftype)
+    nl = 32 // f.width
+    top = (nl - 1) * f.width
+    value = {"qnan": lookup(ftype).quiet_nan, "snan": f.inf | 1,
+             "+inf": f.inf, "-inf": f.inf | f.sign}[special]
+    a = f.vector(f.mixed)
+    b = f.vector([f.one + 2, f.one + 1, f.one, f.max])
+    c = f.vector([f.half_ulp_one, f.max, f.one, 0x1])
+    lanes = []
+    for lane in range(4):
+        upper_a = value if lane == 2 else (a >> top) & f.max
+        lanes.append({
+            12: (a & ~(f.max << top) & 0xFFFFFFFF) | (upper_a << top),
+            13: b ^ (lane << f.width),  # vary sub-lane 1 between lanes
+            14: c if acc else 0})
+    run_lockstep_both(flags_program(f"""
+    {op} fa4, fa2, fa3
+    mv a1, a4
+    """), lanes, label=f"{op}/{special}")
+
+
+def test_lockstep_vfdotpex_one_lane_falls_back():
+    # vfdotpex.s.h accumulates into binary32.  Lane 1 spans more bits
+    # than the double-double window (2^100 + 2^30 + 2^-48), lane 2 sums
+    # to exactly zero; lanes 0 and 3 round normally.
+    one, two15, tiny = 0x3C00, 0x7800, 0x0001
+    lanes = [
+        {12: (0x3555 << 16) | 0x3C01, 13: (0x3C03 << 16) | 0x3555,
+         14: 0x3F800001},
+        {12: (tiny << 16) | two15, 13: (tiny << 16) | two15,
+         14: 0x71800000},
+        {12: (one << 16) | one, 13: (one << 16) | one, 14: 0xC0000000},
+        {12: (0x0200 << 16) | 0x0003, 13: (0x8001 << 16) | 0x0005,
+         14: 0x00000001},
+    ]
+    run_lockstep_both(flags_program("""
+    vfdotpex.s.h fa4, fa2, fa3
+    mv a1, a4
+    """), lanes, label="vfdotpex-fallback")
