@@ -12,7 +12,7 @@ Mirrors the paper's three build configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..isa.assembler import DATA_BASE, TEXT_BASE, Program, assemble
@@ -32,18 +32,37 @@ class CompiledKernel:
     program: Program
     module: Module
     vector_report: Optional[VectorizeReport] = None
-    #: Static-analysis result over the assembled output (populated when
-    #: compiling with ``lint=True``, the default).  Typed loosely to
-    #: keep the compiler importable without the analysis package.
-    lint_result: Optional[object] = None
+    #: Whether :attr:`lint_result` analyzes the program (``False``
+    #: keeps it ``None``).
+    lint: bool = True
+    _lint_result: Optional[object] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def entry(self, name: str) -> int:
         """Address of a compiled function."""
         return self.program.address_of(name)
 
     @property
+    def lint_result(self) -> Optional[object]:
+        """Static-analysis result over the assembled output.
+
+        Computed on first read and kept on the kernel; ``None`` when
+        compiled with ``lint=False``.  Typed loosely to keep the
+        compiler importable without the analysis package.  No lock:
+        threads racing on a fresh kernel may each lint, and one of the
+        identical results is kept.
+        """
+        if self.lint and self._lint_result is None:
+            from ..analysis.lints import lint_program
+
+            self._lint_result = lint_program(
+                self.program, vector_report=self.vector_report,
+                source=self.asm)
+        return self._lint_result
+
+    @property
     def lint_findings(self) -> list:
-        """Lint findings from compilation ([] when linting was off)."""
+        """Lint findings of :attr:`lint_result` ([] when linting was off)."""
         if self.lint_result is None:
             return []
         return list(self.lint_result.findings)
@@ -60,9 +79,9 @@ def compile_source(
     """Compile kernel source down to an assembled program.
 
     With ``lint=True`` (the default) the static analyzer runs over the
-    assembled output and its findings ride along on
-    :attr:`CompiledKernel.lint_result`; compiled code should be clean,
-    so anything it reports points at a codegen regression.
+    assembled output the first time :attr:`CompiledKernel.lint_result`
+    is read, not here; compiled code should be clean, so anything it
+    reports points at a codegen regression.
 
     ``expanding_reductions`` upgrades the auto-vectorizer's reduction
     strategy from multiply-then-unpack to the Xfaux expanding dot
@@ -77,12 +96,5 @@ def compile_source(
         report = vectorize(module, expanding=expanding_reductions)
     asm = "\n".join(generate(fn) for fn in module.functions)
     program = assemble(asm, text_base=text_base, data_base=data_base)
-    lint_result = None
-    if lint:
-        # Imported here: the analysis package depends on repro.isa only,
-        # but keeping the compiler core import-light is still worthwhile.
-        from ..analysis.lints import lint_program
-
-        lint_result = lint_program(program, vector_report=report, source=asm)
     return CompiledKernel(asm=asm, program=program, module=module,
-                          vector_report=report, lint_result=lint_result)
+                          vector_report=report, lint=lint)

@@ -42,7 +42,8 @@ MODES = ("scalar", "auto", "manual")
 POINT_STATUSES = ("ok", "trap", "budget_exceeded", "error")
 
 #: Compiled programs :func:`compile_point` keeps per process (one is
-#: ~84 KB, so the memo tops out around 5 MB).
+#: ~39 KB, ~84 KB once its lint result has been read, so the memo tops
+#: out around 2.5-5.5 MB).
 COMPILE_MEMO_SIZE = 64
 
 
@@ -95,9 +96,10 @@ class KernelRun:
     arrays: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: (base, size) of the loaded text section, for instruction flips.
     text_range: Optional[Tuple[int, int]] = None
-    #: Static-analysis result from compilation (a
-    #: :class:`repro.analysis.LintResult`); ``None`` if linting was off.
-    lint: Optional[object] = None
+    #: The compiled program that ran; :attr:`lint` reads through to it.
+    #: Shared through the compile memo and never pickled.
+    _kernel: Optional[CompiledKernel] = field(default=None, repr=False,
+                                              compare=False)
     #: Aggregated cycle-attribution profile (a
     #: :class:`repro.profile.Profile`); ``None`` unless the run was
     #: made with ``run_kernel(..., profile=...)``.
@@ -106,6 +108,24 @@ class KernelRun:
     #: simulation phase only -- compile and staging excluded).  Host
     #: performance benchmarks derive guest MIPS from this.
     sim_seconds: float = 0.0
+
+    @property
+    def lint(self) -> Optional[object]:
+        """Static-analysis result over the program (a
+        :class:`repro.analysis.LintResult`), linted on first read and
+        shared by every run of the same compiled program; ``None`` if
+        linting was off.  Pickled runs carry it materialized."""
+        if "lint" in self.__dict__:
+            return self.__dict__["lint"]
+        return None if self._kernel is None else self._kernel.lint_result
+
+    def __getstate__(self) -> dict:
+        # ``lint`` materialized in place of the kernel: the layout disk
+        # cache entries (RESULT_CACHE_SCHEMA 1) and IPC results carry.
+        state = dict(self.__dict__)
+        state.pop("_kernel", None)
+        state["lint"] = self.lint
+        return state
 
     @property
     def guest_mips(self) -> float:
@@ -345,7 +365,7 @@ def run_kernel(
         arrays=arrays,
         text_range=(kernel.program.text_base,
                     4 * len(kernel.program.words)),
-        lint=kernel.lint_result,
+        _kernel=kernel,
         profile=collector.finish() if collector is not None else None,
         sim_seconds=sim_seconds,
     )
@@ -438,7 +458,7 @@ def run_kernel_batch(
             },
             text_range=(kernel.program.text_base,
                         4 * len(kernel.program.words)),
-            lint=kernel.lint_result,
+            _kernel=kernel,
             profile=None,
             sim_seconds=per_lane_seconds,
         ))
