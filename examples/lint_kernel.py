@@ -6,7 +6,7 @@ Run:  python examples/lint_kernel.py
 
 from repro.analysis import build_cfg, lint_program, validate_findings
 from repro.compiler import compile_source
-from repro.harness import run_kernel
+from repro.harness import compile_point, run_kernel
 from repro.isa import assemble
 from repro.kernels import KERNELS
 
@@ -37,7 +37,7 @@ loop:
 
 def cfg_demo() -> None:
     print("== The CFG under the lints ==")
-    kernel = compile_source(KERNELS["gemm"].source_fn("float16"), lint=False)
+    kernel = compile_source(KERNELS["gemm"].source_fn("float16"))
     cfg = build_cfg(kernel.program)
     loops = cfg.natural_loops()
     print(f"  gemm/float16: {len(cfg.blocks)} basic blocks, "
@@ -61,7 +61,8 @@ def compiled_kernel_demo() -> None:
 def validation_demo() -> None:
     print("== Replaying static findings against a real run ==")
     run = run_kernel(KERNELS["atax"], "float8", "auto")
-    report = validate_findings(run.lint.findings, run.trace)
+    lint = compile_point(KERNELS["atax"], "float8", "auto").lint_result
+    report = validate_findings(lint.findings, run.trace)
     for item in report.results:
         print(f"  [{item.verdict}] (executed {item.executions}x) "
               f"line {item.finding.line}: {item.finding.check}")

@@ -32,7 +32,7 @@ def build_matrix(
     """``(config key, compiled kernel)`` over every valid requested build.
 
     Each kernel is the program the harness runs for that configuration
-    (:func:`repro.harness.runner.compile_point`), compiled unlinted.
+    (:func:`repro.harness.runner.compile_point`).
     """
     from ..harness.runner import compile_point
     from ..kernels import KERNELS
@@ -45,7 +45,7 @@ def build_matrix(
                                          or ftype == "float"):
                     continue
                 yield (_config_key(name, ftype, mode),
-                       compile_point(spec, ftype, mode, lint=False))
+                       compile_point(spec, ftype, mode))
 
 
 def compute_baseline(

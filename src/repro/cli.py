@@ -279,8 +279,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _compile_kernel_arg(args: argparse.Namespace):
-    """The unlinted program ``run_kernel`` executes for ``--kernel``,
-    ``--ftype`` and ``--mode``; ``None`` after reporting why not."""
+    """The program ``run_kernel`` executes for ``--kernel``, ``--ftype``
+    and ``--mode``; ``None`` after reporting why not."""
     from .harness.runner import HarnessError, compile_point
     from .kernels import KERNELS
 
@@ -289,8 +289,7 @@ def _compile_kernel_arg(args: argparse.Namespace):
               f"{sorted(KERNELS)}", file=sys.stderr)
         return None
     try:
-        return compile_point(KERNELS[args.kernel], args.ftype, args.mode,
-                             lint=False)
+        return compile_point(KERNELS[args.kernel], args.ftype, args.mode)
     except HarnessError as exc:
         print(exc, file=sys.stderr)
         return None

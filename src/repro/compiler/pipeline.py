@@ -32,9 +32,6 @@ class CompiledKernel:
     program: Program
     module: Module
     vector_report: Optional[VectorizeReport] = None
-    #: Whether :attr:`lint_result` analyzes the program (``False``
-    #: keeps it ``None``).
-    lint: bool = True
     _lint_result: Optional[object] = field(default=None, init=False,
                                            repr=False, compare=False)
 
@@ -43,16 +40,15 @@ class CompiledKernel:
         return self.program.address_of(name)
 
     @property
-    def lint_result(self) -> Optional[object]:
+    def lint_result(self) -> object:
         """Static-analysis result over the assembled output.
 
-        Computed on first read and kept on the kernel; ``None`` when
-        compiled with ``lint=False``.  Typed loosely to keep the
-        compiler importable without the analysis package.  No lock:
-        threads racing on a fresh kernel may each lint, and one of the
-        identical results is kept.
+        Computed on first read and kept on the kernel.  Typed loosely
+        to keep the compiler importable without the analysis package.
+        No lock: threads racing on a fresh kernel may each lint, and
+        one of the identical results is kept.
         """
-        if self.lint and self._lint_result is None:
+        if self._lint_result is None:
             from ..analysis.lints import lint_program
 
             self._lint_result = lint_program(
@@ -62,9 +58,7 @@ class CompiledKernel:
 
     @property
     def lint_findings(self) -> list:
-        """Lint findings of :attr:`lint_result` ([] when linting was off)."""
-        if self.lint_result is None:
-            return []
+        """Lint findings of :attr:`lint_result`."""
         return list(self.lint_result.findings)
 
 
@@ -73,15 +67,14 @@ def compile_source(
     vectorize_loops: bool = False,
     text_base: int = TEXT_BASE,
     data_base: int = DATA_BASE,
-    lint: bool = True,
     expanding_reductions: bool = False,
 ) -> CompiledKernel:
     """Compile kernel source down to an assembled program.
 
-    With ``lint=True`` (the default) the static analyzer runs over the
-    assembled output the first time :attr:`CompiledKernel.lint_result`
-    is read, not here; compiled code should be clean, so anything it
-    reports points at a codegen regression.
+    The static analyzer runs over the assembled output the first time
+    :attr:`CompiledKernel.lint_result` is read, not here; compiled code
+    should be clean, so anything it reports points at a codegen
+    regression.
 
     ``expanding_reductions`` upgrades the auto-vectorizer's reduction
     strategy from multiply-then-unpack to the Xfaux expanding dot
@@ -97,4 +90,4 @@ def compile_source(
     asm = "\n".join(generate(fn) for fn in module.functions)
     program = assemble(asm, text_base=text_base, data_base=data_base)
     return CompiledKernel(asm=asm, program=program, module=module,
-                          vector_report=report, lint=lint)
+                          vector_report=report)

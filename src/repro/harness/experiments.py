@@ -4,9 +4,10 @@ Each function returns plain data (lists of dicts) so the benchmark
 suite, the examples and EXPERIMENTS.md all consume the same numbers.
 Results are memoized per configuration: several figures share runs.
 
-Sweeps are crash-isolated: every point runs through
-:func:`~repro.harness.runner.run_kernel_safe` under an instruction
-budget, so a single trapping or runaway configuration cannot abort a
+Sweeps are crash-isolated: every driver computes its points up front
+through :func:`prewarm`, and every point runs through
+:func:`~repro.harness.parallel.run_point` under an instruction budget,
+so a single trapping or runaway configuration cannot abort a
 figure.  Each row carries ``status`` ('ok', 'trap', 'budget_exceeded'
 or 'error') and ``detail``; failed points keep their metric fields as
 ``None`` and are skipped by the per-figure averages.
@@ -21,13 +22,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..fp.formats import supported_vector_formats
 from ..kernels import BENCHMARK_NAMES, KERNELS, KernelSpec
 from ..sim.memory import LATENCY_LEVELS
-from .runner import (
-    KernelExecutionError,
-    KernelRun,
-    SafeRunOutcome,
-    run_kernel,
-    run_kernel_safe,
-)
+from .parallel import SweepPoint, resolve_cache, run_point, run_points
+from .runner import KernelExecutionError, KernelRun, SafeRunOutcome, run_kernel
 
 #: Lane counts per C type keyword at FLEN = 32.
 _LANES = {"float16": 2, "float16alt": 2, "float8": 4}
@@ -67,10 +63,7 @@ def safe_cached_run(
         cached = _CACHE.get(key)
     if cached is not None:
         return cached
-    outcome = run_kernel_safe(
-        KERNELS[name], ftype, mode, mem_latency=mem_latency, seed=seed,
-        max_instructions=instruction_budget,
-    )
+    outcome = run_point(SweepPoint(*key))
     # setdefault keeps the first writer's row, so concurrent callers of
     # the same point always observe one identical object.
     with _CACHE_LOCK:
@@ -92,8 +85,6 @@ def prewarm(
     either cache).  ``lockstep >= 2`` batches seed-varied points into
     shared lockstep runs (see :func:`repro.harness.parallel.run_points`).
     """
-    from .parallel import SweepPoint, resolve_cache, run_points
-
     cache = resolve_cache(cache_dir)
     with _CACHE_LOCK:
         missing = [SweepPoint(*p) for p in dict.fromkeys(points)
@@ -106,14 +97,6 @@ def prewarm(
             _CACHE.setdefault(tuple(point), outcome)
     served = cache.hits - before if cache is not None else 0
     return len(results) - served
-
-
-def _maybe_prewarm(points: List[Tuple], jobs: int,
-                   cache_dir: Optional[str], lockstep: int = 0) -> None:
-    """Prewarm when parallelism, batching or a cache is in play."""
-    if jobs > 1 or lockstep >= 2 or cache_dir is not None or (
-            os.environ.get("REPRO_RESULT_CACHE", "").strip()):
-        prewarm(points, jobs=jobs, cache_dir=cache_dir, lockstep=lockstep)
 
 
 def cached_run(name: str, ftype: str, mode: str, mem_latency: int = 1,
@@ -213,8 +196,8 @@ def fig1_speedup(
     ``cache_dir`` additionally persists them for other processes.
     """
     benchmarks = benchmarks or list(BENCHMARK_NAMES)
-    _maybe_prewarm(fig1_points(benchmarks, ftypes, seed,
-                               instruction_budget), jobs, cache_dir, lockstep)
+    prewarm(fig1_points(benchmarks, ftypes, seed, instruction_budget),
+            jobs, cache_dir, lockstep)
     rows: List[Dict] = []
     sums: Dict[Tuple[str, str], List[float]] = {}
     for bench in benchmarks:
@@ -303,8 +286,8 @@ def fig2_latency_speedup(
     benchmarks = benchmarks or [
         b for b in BENCHMARK_NAMES if KERNELS[b].manual_source_fn
     ]
-    _maybe_prewarm(fig23_points(benchmarks, ftypes, seed), jobs,
-                   cache_dir, lockstep)
+    prewarm(fig23_points(benchmarks, ftypes, seed), jobs, cache_dir,
+            lockstep)
     rows: List[Dict] = []
     for bench in benchmarks:
         for level, latency in LATENCY_LEVELS.items():
@@ -365,8 +348,8 @@ def fig3_energy(
     benchmarks = benchmarks or [
         b for b in BENCHMARK_NAMES if KERNELS[b].manual_source_fn
     ]
-    _maybe_prewarm(fig23_points(benchmarks, ftypes, seed), jobs,
-                   cache_dir, lockstep)
+    prewarm(fig23_points(benchmarks, ftypes, seed), jobs, cache_dir,
+            lockstep)
     rows: List[Dict] = []
     for bench in benchmarks:
         for level, latency in LATENCY_LEVELS.items():
@@ -435,7 +418,7 @@ def table3_sqnr(
 ) -> List[Dict]:
     """SQNR (dB) of program outputs vs the binary64 reference."""
     benchmarks = benchmarks or list(BENCHMARK_NAMES)
-    _maybe_prewarm(
+    prewarm(
         [(bench, ftype, "scalar", 1, seed, DEFAULT_POINT_BUDGET)
          for bench in benchmarks for ftype in ftypes],
         jobs, cache_dir, lockstep)
@@ -472,7 +455,7 @@ def format_shootout(
     kernel (< 1.0 means the narrow format saves energy).
     """
     benchmarks = benchmarks or list(BENCHMARK_NAMES)
-    _maybe_prewarm(
+    prewarm(
         [(bench, ftype, "scalar", 1, seed, DEFAULT_POINT_BUDGET)
          for bench in benchmarks for ftype in ("float",) + tuple(ftypes)],
         jobs, cache_dir, lockstep)
@@ -504,7 +487,7 @@ def fig4_breakdown(seed: int = 0, jobs: int = 1,
                    cache_dir: Optional[str] = None,
                    lockstep: int = 0) -> Dict[str, Dict[str, int]]:
     """Instruction mixes: original float vs auto vs manual mixed SVM."""
-    _maybe_prewarm(
+    prewarm(
         [("svm", "float", "scalar", 1, seed, DEFAULT_POINT_BUDGET),
          ("svm_mixed", "float16", "auto", 1, seed, DEFAULT_POINT_BUDGET),
          ("svm_mixed", "float16", "manual", 1, seed, DEFAULT_POINT_BUDGET)],
@@ -583,7 +566,7 @@ def fig6_mixed_precision(seed: int = 0, jobs: int = 1,
     tuned mixed scheme (auto + manual).  The paper's claim: mixed
     precision matches float16's speedup and energy at float's accuracy.
     """
-    _maybe_prewarm(
+    prewarm(
         [("svm", "float", "scalar", 1, seed, DEFAULT_POINT_BUDGET),
          ("svm", "float16", "auto", 1, seed, DEFAULT_POINT_BUDGET),
          ("svm", "float8", "auto", 1, seed, DEFAULT_POINT_BUDGET),

@@ -21,8 +21,8 @@ records.  This module exploits that two ways:
   feeds the run.  Figures, benchmarks and repeated CLI invocations in
   different processes share points through it.
 
-The cache stores pickled outcomes (full traces and output arrays --
-they are a few tens of kilobytes per point).  Treat a cache directory
+The cache stores pickled outcomes (full traces and output arrays, no
+lint findings -- a few kilobytes per point).  Treat a cache directory
 like any other local build artifact: it is keyed and validated, but not
 tamper-proof, so do not point the harness at an untrusted one.
 """
@@ -38,13 +38,14 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .. import __version__
 from ..kernels import KERNELS
-from .runner import (SafeRunOutcome, classify_run, run_kernel_batch,
-                     run_kernel_safe)
+from .runner import (HarnessError, SafeRunOutcome, classify_run,
+                     compile_inputs, run_kernel_batch, run_kernel_safe)
 
 #: Bump when the pickled payload layout (or anything it transitively
 #: contains) changes shape; old entries then miss instead of
-#: deserializing into the wrong schema.
-RESULT_CACHE_SCHEMA = 1
+#: deserializing into the wrong schema.  Schema 2: runs carry no lint
+#: findings.
+RESULT_CACHE_SCHEMA = 2
 
 #: Version salt mixed into every fingerprint, key and payload.  A
 #: cached outcome embeds simulator behaviour (timing model, FP
@@ -81,29 +82,28 @@ _FINGERPRINTS: Dict[Tuple[str, str, str], str] = {}
 def program_fingerprint(name: str, ftype: str, mode: str) -> str:
     """Hash of the kernel program a point will compile and run.
 
-    Covers the generated C source (which embeds the FP type choice),
-    the vectorization mode, and the kernel's default parameters -- so a
-    change to a kernel generator or its sizing invalidates exactly that
-    kernel's cached points.  Memoized: sweeps ask per point but sources
-    only vary per (kernel, type, mode).
+    Covers the compile inputs the run uses
+    (:func:`~repro.harness.runner.compile_inputs`: generated source,
+    vectorization and the spec's compile options), the mode and the
+    kernel's default parameters -- so a change to a kernel generator,
+    its options or its sizing invalidates exactly that kernel's cached
+    points.  Memoized: sweeps ask per point but sources only vary per
+    (kernel, type, mode).
     """
     key = (name, ftype, mode)
     cached = _FINGERPRINTS.get(key)
     if cached is not None:
         return cached
     spec = KERNELS[name]
-    if mode == "manual":
-        if spec.manual_source_fn is None:
-            source = f"<no manual form for {name}>"
-        else:
-            source = spec.manual_source_fn(ftype)
-    else:
-        source = spec.source_fn(ftype)
+    try:
+        inputs = compile_inputs(spec, ftype, mode)
+    except HarnessError as exc:  # the point's outcome is this error
+        inputs = (f"<{exc}>",)
     digest = hashlib.sha256()
     digest.update(f"{CACHE_VERSION_SALT}\n".encode())
-    digest.update(source.encode())
-    digest.update(repr(("mode", mode, "params",
-                        sorted(spec.params.items()))).encode())
+    digest.update(inputs[0].encode())
+    digest.update(repr(("mode", mode, "params", sorted(spec.params.items()),
+                        "opts", inputs[1:])).encode())
     fingerprint = digest.hexdigest()
     _FINGERPRINTS[key] = fingerprint
     return fingerprint
@@ -265,14 +265,11 @@ def run_point(point: SweepPoint, **overrides) -> SafeRunOutcome:
                            **kwargs)
 
 
-_run_point = run_point
-
-
 def _worker(point_tuple: Tuple) -> Tuple[Tuple, SafeRunOutcome]:
     """Pool entry point; must stay module-level (pickled by name)."""
     point = SweepPoint(*point_tuple)
     try:
-        return point_tuple, _run_point(point)
+        return point_tuple, run_point(point)
     except BaseException as exc:  # belt and braces: never kill the sweep
         return point_tuple, SafeRunOutcome(
             status="error", detail=f"worker: {type(exc).__name__}: {exc}")
@@ -391,7 +388,7 @@ def run_points(
 
     if jobs <= 1 or len(pending) <= 1:
         for point in pending:
-            finish(point, _run_point(point))
+            finish(point, run_point(point))
         return results
 
     import multiprocessing

@@ -10,8 +10,8 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class KernelRun:
     arrays: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: (base, size) of the loaded text section, for instruction flips.
     text_range: Optional[Tuple[int, int]] = None
-    #: The compiled program that ran; :attr:`lint` reads through to it.
-    #: Shared through the compile memo and never pickled.
-    _kernel: Optional[CompiledKernel] = field(default=None, repr=False,
-                                              compare=False)
     #: Aggregated cycle-attribution profile (a
     #: :class:`repro.profile.Profile`); ``None`` unless the run was
     #: made with ``run_kernel(..., profile=...)``.
@@ -110,38 +106,11 @@ class KernelRun:
     sim_seconds: float = 0.0
 
     @property
-    def lint(self) -> Optional[object]:
-        """Static-analysis result over the program (a
-        :class:`repro.analysis.LintResult`), linted on first read and
-        shared by every run of the same compiled program; ``None`` if
-        linting was off.  Pickled runs carry it materialized."""
-        if "lint" in self.__dict__:
-            return self.__dict__["lint"]
-        return None if self._kernel is None else self._kernel.lint_result
-
-    def __getstate__(self) -> dict:
-        # ``lint`` materialized in place of the kernel: the layout disk
-        # cache entries (RESULT_CACHE_SCHEMA 1) and IPC results carry.
-        state = dict(self.__dict__)
-        state.pop("_kernel", None)
-        state["lint"] = self.lint
-        return state
-
-    @property
     def guest_mips(self) -> float:
         """Guest instructions per host microsecond (simulation phase)."""
         if self.sim_seconds <= 0.0:
             return 0.0
         return self.trace.instret / self.sim_seconds / 1e6
-
-    def lint_findings(self, min_severity: str = "note") -> list:
-        """Lint findings at or above ``min_severity``."""
-        if self.lint is None:
-            return []
-        from ..analysis.lints import severity_at_least
-
-        return [f for f in self.lint.findings
-                if severity_at_least(f.severity, min_severity)]
 
     @property
     def cycles(self) -> int:
@@ -221,17 +190,14 @@ def _read_outputs(spec: KernelSpec, memory, array_at) -> Dict[str, np.ndarray]:
     return outputs
 
 
-def compile_point(spec: KernelSpec, ftype: str, mode: str,
-                  lint: bool = True) -> CompiledKernel:
-    """Compile the program a (spec, ftype, mode) point runs.
+def compile_inputs(spec: KernelSpec, ftype: str,
+                   mode: str) -> Tuple[str, bool, tuple]:
+    """What a (spec, ftype, mode) point compiles.
 
+    Returns ``(source text, vectorize_loops, compile options)``:
     ``mode`` picks the source (``manual`` needs the spec's
     hand-vectorized form) and whether the auto-vectorizer runs; the
-    spec's ``compile_opts`` always apply.  Memoized per process on the
-    exact compile inputs -- source text, vectorization, options and
-    ``lint`` -- so a spec variant that reuses a name with another
-    source or options gets its own program.  The returned kernel is
-    shared by every caller: treat it as read-only.
+    spec's ``compile_opts`` always apply, sorted into a tuple.
     """
     if mode not in MODES:
         raise HarnessError(f"unknown mode {mode!r} (pick from {MODES})")
@@ -241,17 +207,84 @@ def compile_point(spec: KernelSpec, ftype: str, mode: str,
         source = spec.manual_source_fn(ftype)
     else:
         source = spec.source_fn(ftype)
-    return _compile_memo(source, mode == "auto",
-                         tuple(sorted(spec.compile_opts.items())), lint)
+    return source, mode == "auto", tuple(sorted(spec.compile_opts.items()))
+
+
+def compile_point(spec: KernelSpec, ftype: str, mode: str) -> CompiledKernel:
+    """Compile the program a (spec, ftype, mode) point runs.
+
+    Memoized per process on :func:`compile_inputs`, not on the spec's
+    name, so a spec variant that reuses a name with another source or
+    options gets its own program.  The returned kernel is shared by
+    every caller: treat it as read-only.
+    """
+    return _compile_memo(*compile_inputs(spec, ftype, mode))
 
 
 @functools.lru_cache(maxsize=COMPILE_MEMO_SIZE)
-def _compile_memo(source: str, vectorize_loops: bool, opts: tuple,
-                  lint: bool) -> CompiledKernel:
+def _compile_memo(source: str, vectorize_loops: bool,
+                  opts: tuple) -> CompiledKernel:
     # No lock around the compile: two threads missing on one key both
     # compile, and one result wins.  Failures raise and are not kept.
     return compile_source(source, vectorize_loops=vectorize_loops,
-                          lint=lint, **dict(opts))
+                          **dict(opts))
+
+
+class _Staged(NamedTuple):
+    """One seed's generated data and laid-out kernel arguments."""
+
+    run_params: Dict[str, int]
+    data: Dict
+    regs: Dict[int, int]
+    stores: list
+    array_at: Dict[str, tuple]
+
+
+def _stage(spec: KernelSpec, ftype: str, params: Optional[Dict[str, int]],
+           seed: int) -> _Staged:
+    run_params = dict(spec.params)
+    run_params.update(params or {})
+    data = spec.make_data(run_params, np.random.default_rng(seed))
+    return _Staged(run_params, data,
+                   *_stage_args(spec, ftype, run_params, data))
+
+
+def _finish(spec: KernelSpec, ftype: str, mode: str, mem_latency: int,
+            kernel: CompiledKernel, staged: _Staged, result, trap_ok: bool,
+            model: EnergyModel, sim_seconds: float,
+            collector=None) -> KernelRun:
+    """Read back, score and cost one finished simulation.
+
+    An abnormal guest exit raises :class:`KernelExecutionError` unless
+    ``trap_ok`` is set.
+    """
+    if not result.ok and not trap_ok:
+        raise KernelExecutionError(
+            f"{spec.name} [{ftype}, {mode}] ended with "
+            f"{result.exit_reason}: {result.detail}",
+            exit_reason=result.exit_reason, trap=result.trap,
+        )
+    return KernelRun(
+        spec_name=spec.name,
+        ftype=ftype,
+        mode=mode,
+        mem_latency=mem_latency,
+        trace=result.trace,
+        energy=model.estimate(result.trace, mem_latency),
+        outputs=_read_outputs(spec, result.machine.memory, staged.array_at),
+        golden=spec.golden(staged.data, staged.run_params),
+        asm=kernel.asm,
+        exit_reason=result.exit_reason,
+        trap=result.trap,
+        arrays={
+            name: (addr, count * (4 if fmt is None else fmt.width // 8))
+            for name, (addr, count, fmt) in staged.array_at.items()
+        },
+        text_range=(kernel.program.text_base,
+                    4 * len(kernel.program.words)),
+        profile=collector.finish() if collector is not None else None,
+        sim_seconds=sim_seconds,
+    )
 
 
 def run_kernel(
@@ -295,11 +328,7 @@ def run_kernel(
     seeded by ``sr_key`` (see :func:`repro.fp.rounding.set_sr_key`).
     """
     kernel = compile_point(spec, ftype, mode)
-    run_params = dict(spec.params)
-    run_params.update(params or {})
-    rng = np.random.default_rng(seed)
-    data = spec.make_data(run_params, rng)
-
+    staged = _stage(spec, ftype, params, seed)
     sim = Simulator(kernel.program, mem_latency=mem_latency,
                     fast_path=fast_path)
 
@@ -313,62 +342,22 @@ def run_kernel(
             context={"kernel": spec.name, "ftype": ftype, "mode": mode,
                      "mem_latency": mem_latency, "seed": seed})
 
-    # ------------------------------------------------------------------
-    # Stage arguments
-    # ------------------------------------------------------------------
-    regs, stores, array_at = _stage_args(spec, ftype, run_params, data)
-    for addr, payload in stores:
+    for addr, payload in staged.stores:
         sim.machine.memory.write_block(addr, payload)
-
     if frm is not None:
         sim.machine.csr.frm = frm
     sim_start = time.perf_counter()
     prev_key = set_sr_key(sr_key)
     try:
-        result = sim.run(spec.entry, args=regs,
+        result = sim.run(spec.entry, args=staged.regs,
                          max_instructions=max_instructions,
                          step_hook=injector, profile=collector)
     finally:
         set_sr_key(prev_key)
     sim_seconds = time.perf_counter() - sim_start
-    if not result.ok and not trap_ok:
-        raise KernelExecutionError(
-            f"{spec.name} [{ftype}, {mode}] ended with "
-            f"{result.exit_reason}: {result.detail}",
-            exit_reason=result.exit_reason, trap=result.trap,
-        )
-
-    # ------------------------------------------------------------------
-    # Read outputs and score
-    # ------------------------------------------------------------------
-    outputs = _read_outputs(spec, sim.machine.memory, array_at)
-
-    golden = spec.golden(data, run_params)
-    model = energy_model or EnergyModel()
-    energy = model.estimate(result.trace, mem_latency)
-    arrays = {
-        name: (addr, count * (4 if fmt is None else fmt.width // 8))
-        for name, (addr, count, fmt) in array_at.items()
-    }
-    return KernelRun(
-        spec_name=spec.name,
-        ftype=ftype,
-        mode=mode,
-        mem_latency=mem_latency,
-        trace=result.trace,
-        energy=energy,
-        outputs=outputs,
-        golden=golden,
-        asm=kernel.asm,
-        exit_reason=result.exit_reason,
-        trap=result.trap,
-        arrays=arrays,
-        text_range=(kernel.program.text_base,
-                    4 * len(kernel.program.words)),
-        _kernel=kernel,
-        profile=collector.finish() if collector is not None else None,
-        sim_seconds=sim_seconds,
-    )
+    return _finish(spec, ftype, mode, mem_latency, kernel, staged, result,
+                   trap_ok, energy_model or EnergyModel(), sim_seconds,
+                   collector)
 
 
 def run_kernel_batch(
@@ -408,20 +397,14 @@ def run_kernel_batch(
         return []
     from ..sim.lockstep import Lane, run_lockstep
 
-    if sr_keys is not None and len(sr_keys) != len(seeds):
+    if sr_keys is None:
+        sr_keys = [0] * len(seeds)
+    elif len(sr_keys) != len(seeds):
         raise HarnessError(
             f"sr_keys has {len(sr_keys)} entries for {len(seeds)} seeds")
-    staged = []
-    lanes = []
-    for idx, seed in enumerate(seeds):
-        run_params = dict(spec.params)
-        run_params.update(params or {})
-        rng = np.random.default_rng(seed)
-        data = spec.make_data(run_params, rng)
-        regs, stores, array_at = _stage_args(spec, ftype, run_params, data)
-        staged.append((data, run_params, array_at))
-        lanes.append(Lane(regs, stores,
-                          sr_key=0 if sr_keys is None else sr_keys[idx]))
+    staged = [_stage(spec, ftype, params, seed) for seed in seeds]
+    lanes = [Lane(s.regs, s.stores, sr_key=key)
+             for s, key in zip(staged, sr_keys)]
 
     sim_start = time.perf_counter()
     results = run_lockstep(kernel.program, lanes, entry=spec.entry,
@@ -431,38 +414,9 @@ def run_kernel_batch(
     per_lane_seconds = (time.perf_counter() - sim_start) / len(lanes)
 
     model = energy_model or EnergyModel()
-    runs: List[KernelRun] = []
-    for (data, run_params, array_at), result in zip(staged, results):
-        if not result.ok and not trap_ok:
-            raise KernelExecutionError(
-                f"{spec.name} [{ftype}, {mode}] ended with "
-                f"{result.exit_reason}: {result.detail}",
-                exit_reason=result.exit_reason, trap=result.trap,
-            )
-        outputs = _read_outputs(spec, result.machine.memory, array_at)
-        runs.append(KernelRun(
-            spec_name=spec.name,
-            ftype=ftype,
-            mode=mode,
-            mem_latency=mem_latency,
-            trace=result.trace,
-            energy=model.estimate(result.trace, mem_latency),
-            outputs=outputs,
-            golden=spec.golden(data, run_params),
-            asm=kernel.asm,
-            exit_reason=result.exit_reason,
-            trap=result.trap,
-            arrays={
-                name: (addr, count * (4 if fmt is None else fmt.width // 8))
-                for name, (addr, count, fmt) in array_at.items()
-            },
-            text_range=(kernel.program.text_base,
-                        4 * len(kernel.program.words)),
-            _kernel=kernel,
-            profile=None,
-            sim_seconds=per_lane_seconds,
-        ))
-    return runs
+    return [_finish(spec, ftype, mode, mem_latency, kernel, s, result,
+                    trap_ok, model, per_lane_seconds)
+            for s, result in zip(staged, results)]
 
 
 # ----------------------------------------------------------------------

@@ -14,14 +14,16 @@ conservatively).  When a run stops on a deadline-derived cap -- or its
 deadline already passed while it sat in the queue -- the job resolves
 as a structured timeout rather than a normal ``budget_exceeded``
 outcome, and the result is *not* cached (it was produced under a
-tighter budget than the request asked for).
+tighter budget than the request asked for).  :func:`settle` holds
+these rules for both executors: the thread pool here and the fleet in
+:mod:`repro.serve.fleet`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..harness.parallel import (DiskResultCache, SweepPoint,
                                 run_group_lockstep, run_point)
@@ -79,6 +81,90 @@ class MipsEstimator:
         return min(point.instruction_budget, cap)
 
 
+#: What :func:`settle`'s ``execute`` returns: the outcome and, for a
+#: profiled run, its JSON profile payload.
+Reply = Tuple[SafeRunOutcome, Optional[dict]]
+
+
+def run_job_point(runner: Callable[..., SafeRunOutcome], point: SweepPoint,
+                  budget: int, profile: bool, where: str) -> Reply:
+    """Run one job's point under ``budget``; never raises.
+
+    A profiled run's :class:`~repro.profile.Profile` is replaced by its
+    JSON projection, returned beside the outcome.
+    """
+    try:
+        if profile:
+            outcome = runner(point, max_instructions=budget, profile=True)
+        else:
+            outcome = runner(point, max_instructions=budget)
+    except BaseException as exc:  # belt and braces (runner is safe)
+        outcome = SafeRunOutcome(
+            status="error", detail=f"{where}: {type(exc).__name__}: {exc}")
+    profile_payload = None
+    if profile and outcome.run is not None \
+            and outcome.run.profile is not None:
+        profile_payload = outcome.run.profile.to_payload()
+        outcome.run.profile = None
+    return outcome, profile_payload
+
+
+def _time_out(job: Job, metrics: Optional[ServeMetrics], detail: str) -> None:
+    if metrics is not None:
+        metrics.count_timeout()
+    job.resolve_timeout(detail)
+
+
+def settle(job: Job,
+           execute: Callable[[int, Optional[float]], Optional[Reply]],
+           estimator: MipsEstimator, cache: Optional[DiskResultCache],
+           metrics: Optional[ServeMetrics], lanes: int = 1) -> bool:
+    """Run one job under its deadline and answer it.
+
+    A deadline that passed while the job sat queued answers a timeout
+    without running.  Otherwise the remaining time becomes an
+    instruction cap and ``execute(budget, remaining_s)`` runs the
+    point.  ``budget_exceeded`` under that cap -- not the request's
+    own budget -- is a deadline cancellation and answers a timeout;
+    any other outcome answers the job and is cached unless it was
+    profiled or capped.  ``lanes`` divides the observed guest MIPS of
+    a lockstep lane, whose rate is the whole batch's.
+
+    Returns ``False`` with the job unanswered when ``execute`` returns
+    ``None`` (a failed fleet dispatch, which the fleet settles).
+    """
+    now = time.monotonic()
+    remaining = None
+    if job.deadline_at is not None:
+        remaining = job.deadline_at - now
+        if remaining <= 0.0:
+            _time_out(job, metrics,
+                      "deadline expired while queued "
+                      f"({(now - job.admitted_at) * 1e3:.0f} ms waiting)")
+            return True
+    budget = estimator.budget_for(job.point, remaining)
+    deadline_limited = budget < job.point.instruction_budget
+    reply = execute(budget, remaining)
+    if reply is None:
+        return False
+    outcome, profile_payload = reply
+    if outcome.run is not None:
+        estimator.observe(outcome.run.guest_mips / lanes)
+    if outcome.status == "budget_exceeded" and deadline_limited:
+        _time_out(job, metrics,
+                  f"execution cancelled at {budget} instructions "
+                  f"(deadline-derived cap; estimate "
+                  f"{estimator.estimate():.2f} MIPS)")
+        return True
+    if cache is not None and not job.profile and not deadline_limited:
+        try:
+            cache.put(job.point, outcome)
+        except Exception:
+            pass  # cache is an optimisation, never a failure source
+    job.resolve(outcome, profile_payload)
+    return True
+
+
 class KernelExecutor:
     """N worker threads over one :class:`JobQueue`."""
 
@@ -123,12 +209,6 @@ class KernelExecutor:
     # ------------------------------------------------------------------
     # Deadline -> instruction budget
     # ------------------------------------------------------------------
-    def mips_estimate(self) -> float:
-        return self._estimator.estimate()
-
-    def _observe_mips(self, observed: float) -> None:
-        self._estimator.observe(observed)
-
     def budget_for(self, point: SweepPoint,
                    deadline_remaining_s: Optional[float]) -> int:
         """The effective ``max_instructions`` for one execution."""
@@ -178,69 +258,17 @@ class KernelExecutor:
             if outcome.status == "error":
                 fallbacks += 1
                 self._execute(job)
-                continue
-            if outcome.run is not None:
-                # A lane's guest_mips is the batch's *aggregate* rate
-                # (its sim_seconds is a 1/width share of the wall
-                # clock); feed the estimator the per-lane rate so
-                # deadline caps for scalar runs stay conservative.
-                self._observe_mips(outcome.run.guest_mips / width)
-            if self.cache is not None:
-                try:
-                    self.cache.put(job.point, outcome)
-                except Exception:
-                    pass  # cache is an optimisation, never a failure
-            job.resolve(outcome)
+            else:
+                settle(job, lambda budget, remaining: (outcome, None),
+                       self._estimator, self.cache, self.metrics,
+                       lanes=width)
         if self.metrics is not None:
             self.metrics.count_lockstep_batch(width, fallbacks)
 
     def _execute(self, job: Job) -> None:
-        now = time.monotonic()
-        remaining = None
-        if job.deadline_at is not None:
-            remaining = job.deadline_at - now
-            if remaining <= 0.0:
-                if self.metrics is not None:
-                    self.metrics.count_timeout()
-                job.resolve_timeout(
-                    "deadline expired while queued "
-                    f"({(now - job.admitted_at) * 1e3:.0f} ms waiting)")
-                return
-        budget = self.budget_for(job.point, remaining)
-        deadline_limited = budget < job.point.instruction_budget
-        try:
-            if job.profile:
-                outcome = self._runner(job.point, max_instructions=budget,
-                                       profile=True)
-            else:
-                outcome = self._runner(job.point, max_instructions=budget)
-        except BaseException as exc:  # belt and braces (runner is safe)
-            outcome = SafeRunOutcome(
-                status="error",
-                detail=f"executor: {type(exc).__name__}: {exc}")
-        if outcome.run is not None:
-            self._observe_mips(outcome.run.guest_mips)
-        if outcome.status == "budget_exceeded" and deadline_limited:
-            # The cap we imposed -- not the request's own budget --
-            # stopped the run: that is a deadline cancellation.
-            if self.metrics is not None:
-                self.metrics.count_timeout()
-            job.resolve_timeout(
-                f"execution cancelled at {budget} instructions "
-                f"(deadline-derived cap; estimate "
-                f"{self.mips_estimate():.2f} MIPS)")
-            return
-        profile_payload = None
-        if job.profile and outcome.run is not None \
-                and outcome.run.profile is not None:
-            profile_payload = outcome.run.profile.to_payload()
-        if self.cache is not None and not job.profile \
-                and not deadline_limited:
-            try:
-                self.cache.put(job.point, outcome)
-            except Exception:
-                pass  # cache is an optimisation, never a failure source
-        job.resolve(outcome, profile_payload)
+        settle(job, lambda budget, remaining: run_job_point(
+                   self._runner, job.point, budget, job.profile, "executor"),
+               self._estimator, self.cache, self.metrics)
 
     # ------------------------------------------------------------------
     # Shutdown

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional
 
 from ..harness.parallel import DiskResultCache, SweepPoint, run_point
 from ..harness.runner import SafeRunOutcome
-from .executor import MipsEstimator
+from .executor import MipsEstimator, Reply, run_job_point, settle
 from .jobs import Job, JobQueue
 from .metrics import ServeMetrics
 
@@ -173,21 +173,9 @@ def _worker_main(conn, parent_conn, worker_index: int,
             os._exit(CHAOS_EXIT_CODE)
         if chaos_latency_ms > 0.0:
             time.sleep(chaos_latency_ms / 1e3)
-        try:
-            kwargs = {"max_instructions": max_instructions}
-            if want_profile:
-                kwargs["profile"] = True
-            outcome = run_point(point, **kwargs)
-        except BaseException as exc:  # belt and braces (runner is safe)
-            outcome = SafeRunOutcome(
-                status="error",
-                detail=f"fleet worker: {type(exc).__name__}: {exc}")
-        profile_payload = None
-        if want_profile and outcome.run is not None \
-                and outcome.run.profile is not None:
-            # Ship the JSON projection, not the Profile object graph.
-            profile_payload = outcome.run.profile.to_payload()
-            outcome.run.profile = None
+        outcome, profile_payload = run_job_point(
+            run_point, point, max_instructions, want_profile,
+            "fleet worker")
         send(("done", task_id, outcome, profile_payload))
 
 
@@ -276,9 +264,6 @@ class FleetSupervisor:
     @property
     def busy(self) -> int:
         return sum(1 for slot in self.slots if slot.state == "busy")
-
-    def mips_estimate(self) -> float:
-        return self._estimator.estimate()
 
     def budget_for(self, point: SweepPoint,
                    deadline_remaining_s: Optional[float]) -> int:
@@ -435,25 +420,16 @@ class FleetSupervisor:
                 job, "point is quarantined as poison "
                      f"(killed {self.config.max_deliveries} workers)")
             return
-        now = time.monotonic()
-        remaining = None
-        if job.deadline_at is not None:
-            remaining = job.deadline_at - now
-            if remaining <= 0.0:
-                if self.metrics is not None:
-                    self.metrics.count_timeout()
-                job.resolve_timeout(
-                    "deadline expired while queued "
-                    f"({(now - job.admitted_at) * 1e3:.0f} ms waiting)")
-                self.queue.finish(job)
-                return
-        self._dispatch(slot, job, remaining)
+        if settle(job, lambda budget, remaining: self._dispatch(
+                      slot, job, budget, remaining),
+                  self._estimator, self.cache, self.metrics):
+            self.queue.finish(job)
 
-    def _dispatch(self, slot: WorkerSlot, job: Job,
-                  deadline_remaining_s: Optional[float]) -> None:
+    def _dispatch(self, slot: WorkerSlot, job: Job, budget: int,
+                  deadline_remaining_s: Optional[float]) -> Optional[Reply]:
+        """Run the job on ``slot``'s worker; ``None`` if the dispatch
+        failed and the job was redelivered, quarantined or answered."""
         job.deliveries += 1
-        budget = self.budget_for(job.point, deadline_remaining_s)
-        deadline_limited = budget < job.point.instruction_budget
         with self._state_lock:
             self._task_seq += 1
             task_id = self._task_seq
@@ -462,7 +438,7 @@ class FleetSupervisor:
         except (OSError, ValueError, BrokenPipeError):
             self._record_failure(slot, "send to worker failed")
             self._fail_job(job, "worker unreachable at dispatch")
-            return
+            return None
         slot.state = "busy"
         slot.current_kernel = job.point.name
         watchdog = self.config.watchdog_seconds
@@ -478,7 +454,7 @@ class FleetSupervisor:
                 self._kill_worker(slot)
                 self._resolve_unservable(job, "fleet shut down mid-request")
                 slot.state = "stopped"
-                return
+                return None
             try:
                 if slot.conn.poll(_POLL_SECONDS):
                     message = slot.conn.recv()
@@ -514,31 +490,12 @@ class FleetSupervisor:
         if reply is None:
             self._record_failure(slot, failure_reason or "no reply")
             self._fail_job(job, failure_reason or "no reply")
-            return
+            return None
 
-        _, _, outcome, profile_payload = reply
         slot.consecutive_failures = 0
         slot.requests += 1
         slot.state = "idle"
-        if outcome.run is not None:
-            self._estimator.observe(outcome.run.guest_mips)
-        if outcome.status == "budget_exceeded" and deadline_limited:
-            if self.metrics is not None:
-                self.metrics.count_timeout()
-            job.resolve_timeout(
-                f"execution cancelled at {budget} instructions "
-                f"(deadline-derived cap; estimate "
-                f"{self.mips_estimate():.2f} MIPS)")
-            self.queue.finish(job)
-            return
-        if self.cache is not None and not job.profile \
-                and not deadline_limited:
-            try:
-                self.cache.put(job.point, outcome)
-            except Exception:
-                pass  # cache is an optimisation, never a failure source
-        job.resolve(outcome, profile_payload)
-        self.queue.finish(job)
+        return reply[2], reply[3]
 
     def _reap_if_fleet_dead(self) -> None:
         """When the last slot ejects, keep answering the queue with

@@ -80,7 +80,7 @@ class StaticVerifier:
 
         try:
             kernel = compile_point(KERNELS[point.name], point.ftype,
-                                   point.mode, lint=False)
+                                   point.mode)
         except Exception as exc:  # compile failure is itself a verdict
             return Verdict(fingerprint=fingerprint, ok=False,
                            detail=f"compilation failed: {exc}")

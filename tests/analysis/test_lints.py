@@ -416,11 +416,24 @@ def test_compile_source_attaches_lint_result():
     assert "vfdotpex.s.b" in suggestions
 
 
-def test_compile_source_lint_opt_out():
-    source = KERNELS["atax"].source_fn("float8")
-    kernel = compile_source(source, lint=False)
-    assert kernel.lint_result is None
-    assert kernel.lint_findings == []
+def test_compile_source_lints_on_first_read(monkeypatch):
+    from repro.analysis import lints
+
+    calls = []
+    real = lints.lint_program
+
+    def counting(program, **kwargs):
+        calls.append(program)
+        return real(program, **kwargs)
+
+    monkeypatch.setattr(lints, "lint_program", counting)
+    kernel = compile_source(KERNELS["atax"].source_fn("float8"))
+    assert calls == []
+    with pytest.raises(TypeError):
+        compile_source(KERNELS["atax"].source_fn("float8"), lint=False)
+    first = kernel.lint_result
+    assert kernel.lint_result is first
+    assert calls == [kernel.program]
 
 
 def test_compiled_kernels_have_no_lint_errors():
@@ -433,7 +446,7 @@ def test_compiled_kernels_have_no_lint_errors():
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_all_kernels_lint_fast(name):
     source = KERNELS[name].source_fn("float8")
-    kernel = compile_source(source, lint=False)
+    kernel = compile_source(source)
     result = lint_program(kernel.program, source=kernel.asm)
     assert result.elapsed < 1.0  # whole-suite budget is 10 s
 

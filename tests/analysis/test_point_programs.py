@@ -27,8 +27,7 @@ NN_AUTO = [(name, ftype) for name in sorted(KERNELS) if name.startswith("nn_")
                          ids=[f"{n}-{t}" for n, t in NN_AUTO])
 def test_static_consumers_see_the_executed_program(name, ftype):
     executed = run_kernel(KERNELS[name], ftype, "auto").asm
-    assert compile_point(KERNELS[name], ftype, "auto",
-                         lint=False).asm == executed
+    assert compile_point(KERNELS[name], ftype, "auto").asm == executed
     (_, baseline_kernel), = build_matrix([name], [ftype], ["auto"])
     assert baseline_kernel.asm == executed
     cli_kernel = _compile_kernel_arg(

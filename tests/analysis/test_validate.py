@@ -2,7 +2,7 @@
 
 from repro.analysis import lint_program, validate_findings, validate_result
 from repro.analysis.lints import LintFinding
-from repro.harness import run_kernel
+from repro.harness import compile_point, run_kernel
 from repro.isa.assembler import assemble
 from repro.kernels import KERNELS
 from repro.sim import Simulator
@@ -96,8 +96,8 @@ def test_kernel_narrow_accumulation_confirmed_dynamically():
     """The acceptance path: a static finding on a real kernel build is
     confirmed by the execution trace of the very same program."""
     run = run_kernel(KERNELS["atax"], "float8", "auto")
-    assert run.lint is not None
-    report = validate_findings(run.lint.findings, run.trace)
+    lint = compile_point(KERNELS["atax"], "float8", "auto").lint_result
+    report = validate_findings(lint.findings, run.trace)
     confirmed = [r for r in report.confirmed()
                  if r.finding.check == "narrow-accumulation"]
     assert confirmed, "no narrow-accumulation finding executed"

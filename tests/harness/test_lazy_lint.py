@@ -1,12 +1,12 @@
 """Lint runs when its result is read, not at every compile.
 
-``compile_source(lint=True)`` leaves :attr:`CompiledKernel.lint_result`
-to be computed on first read and kept on the kernel, which
-``compile_point`` shares through its memo; ``KernelRun.lint`` reads
-through to it, and pickling a run materializes it.  These tests pin
-that sweeps which never read the findings never lint, that every reader
-gets exactly the findings an eager lint gives, and that cached results
-keep the layout they had when lint ran at compile time.
+``compile_source`` leaves :attr:`CompiledKernel.lint_result` to be
+computed on first read and kept on the kernel, which ``compile_point``
+shares through its memo.  Runs carry no findings: a reader asks
+``compile_point(spec, ftype, mode).lint_result``.  These tests pin that
+sweeps and cache writes never lint, that every reader gets exactly the
+findings an eager lint gives, and that a cached run holds only its
+measured fields.
 """
 
 import pickle
@@ -29,11 +29,11 @@ from repro.kernels import KERNELS
 GEMM = KERNELS["gemm"]
 SMALL = {"n": 6}
 
-#: A pickled ``KernelRun``'s state keys: every field, ``lint`` included.
+#: A pickled ``KernelRun``'s state keys: every field, and no findings.
 PICKLED_FIELDS = {
     "spec_name", "ftype", "mode", "mem_latency", "trace", "energy",
     "outputs", "golden", "asm", "exit_reason", "trap", "arrays",
-    "text_range", "lint", "profile", "sim_seconds",
+    "text_range", "profile", "sim_seconds",
 }
 
 
@@ -62,14 +62,14 @@ def eager_findings(spec, ftype, mode):
     manual = mode == "manual"
     source = (spec.manual_source_fn if manual else spec.source_fn)(ftype)
     kernel = compile_source(source, vectorize_loops=mode == "auto",
-                            lint=False, **spec.compile_opts)
+                            **spec.compile_opts)
     result = eager_lint(kernel.program, vector_report=kernel.vector_report,
                         source=kernel.asm)
     return [f.to_dict() for f in result.findings]
 
 
-def findings(run):
-    return [f.to_dict() for f in run.lint.findings]
+def findings(kernel):
+    return [f.to_dict() for f in kernel.lint_result.findings]
 
 
 def test_fig1_sweep_never_lints(lint_calls):
@@ -97,30 +97,34 @@ def test_reading_lint_lints_once_per_program(lint_calls, name, ftype, mode):
     assert lint_calls == []
     expected = eager_findings(spec, ftype, mode)
     assert expected
-    for run in [solo, *batch]:
-        assert findings(run) == expected
+    kernel = compile_point(spec, ftype, mode)
+    assert all(run.asm == kernel.asm for run in [solo, *batch])
+    assert findings(kernel) == expected
+    assert findings(compile_point(spec, ftype, mode)) == expected
     assert len(lint_calls) == 1
-    assert compile_point(spec, ftype, mode).lint_result is solo.lint
 
 
-def test_cached_run_carries_the_findings(tmp_path, lint_calls):
+def test_cache_put_never_lints(tmp_path, lint_calls):
     point = SweepPoint("gemm", "float16", "auto")
     outcome = run_kernel_safe(GEMM, "float16", "auto", params=SMALL)
-    assert outcome.ok and lint_calls == []
+    assert outcome.ok
     cache = DiskResultCache(str(tmp_path))
     cache.put(point, outcome)
-    assert len(lint_calls) == 1  # the put materialized it
     back = cache.get(point)
+    assert lint_calls == []
     assert set(back.run.__dict__) == PICKLED_FIELDS
-    assert findings(back.run) == eager_findings(GEMM, "float16", "auto")
     assert set(pickle.loads(pickle.dumps(back.run)).__dict__) \
         == PICKLED_FIELDS
-    assert findings(outcome.run) == findings(back.run)
+    assert back.run.trace == outcome.run.trace
+    # The findings stay one read away, on the program that ran.
+    assert findings(compile_point(GEMM, "float16", "auto")) \
+        == eager_findings(GEMM, "float16", "auto")
     assert len(lint_calls) == 1
 
 
 def test_threads_reading_lint_of_a_fresh_kernel(lint_calls):
-    run = run_kernel(GEMM, "float16alt", "auto", params=SMALL)
+    run_kernel(GEMM, "float16alt", "auto", params=SMALL)
+    kernel = compile_point(GEMM, "float16alt", "auto")
     workers = 4
     barrier = threading.Barrier(workers)
     results = [None] * workers
@@ -128,7 +132,7 @@ def test_threads_reading_lint_of_a_fresh_kernel(lint_calls):
     def work(index):
         barrier.wait()
         try:
-            results[index] = findings(run)
+            results[index] = findings(kernel)
         except Exception as exc:  # surfaced by the assertions below
             results[index] = exc
 
@@ -148,4 +152,4 @@ def test_threads_reading_lint_of_a_fresh_kernel(lint_calls):
     expected = eager_findings(GEMM, "float16alt", "auto")
     for got in results:
         assert got == expected
-    assert run.lint is run.lint
+    assert kernel.lint_result is kernel.lint_result

@@ -1,11 +1,13 @@
 """Parallel sweep execution and the persistent result cache."""
 
+import dataclasses
 import os
 import pickle
 
 import pytest
 
 from repro import __version__
+from repro.harness import parallel
 from repro.harness.parallel import (
     RESULT_CACHE_SCHEMA,
     DiskResultCache,
@@ -16,7 +18,8 @@ from repro.harness.parallel import (
     run_point,
     run_points,
 )
-from repro.harness.runner import SafeRunOutcome
+from repro.harness.runner import SafeRunOutcome, run_kernel_safe
+from repro.kernels import KERNELS
 
 POINT = SweepPoint("gemm", "float16", "scalar")
 SMALL = [
@@ -32,6 +35,20 @@ def test_fingerprint_distinguishes_programs():
     assert program_fingerprint("gemm", "float8", "scalar") != base
     assert program_fingerprint("gemm", "float16", "auto") != base
     assert program_fingerprint("atax", "float16", "scalar") != base
+
+
+def test_point_key_covers_compile_opts(monkeypatch):
+    # A spec whose compile options change compiles another program, so
+    # its cached points must miss.
+    point = SweepPoint("nn_mlp_fwd", "float8", "auto")
+    spec = KERNELS[point.name]
+    assert spec.compile_opts
+    monkeypatch.setattr(parallel, "_FINGERPRINTS", {})
+    before = point_key(point)
+    monkeypatch.setitem(KERNELS, point.name,
+                        dataclasses.replace(spec, compile_opts={}))
+    monkeypatch.setattr(parallel, "_FINGERPRINTS", {})
+    assert point_key(point) != before
 
 
 def test_point_key_covers_config():
@@ -91,6 +108,20 @@ def test_disk_cache_rejects_schema_mismatch(tmp_path):
     with open(cache.path_for(POINT), "wb") as handle:
         pickle.dump(payload, handle)
     assert cache.get(POINT) is None
+
+
+def test_disk_cache_schema_1_entry_misses(tmp_path):
+    # Schema 1 entries pickled each run with its lint findings; a
+    # current reader must recompute rather than load that layout.
+    point = SweepPoint("gemm", "float16", "auto")
+    cache = DiskResultCache(str(tmp_path))
+    payload = {"schema": 1, "version": __version__, "point": tuple(point),
+               "outcome": run_kernel_safe(KERNELS["gemm"], "float16",
+                                          "auto", params={"n": 4})}
+    with open(cache.path_for(point), "wb") as handle:
+        pickle.dump(payload, handle)
+    assert cache.get(point) is None
+    assert cache.misses == 1 and cache.hits == 0
 
 
 def test_disk_cache_migration_stale_version_misses(tmp_path):

@@ -22,6 +22,7 @@ from repro.harness.runner import SafeRunOutcome, run_kernel
 from repro.kernels import KERNELS
 from repro.serve import ReproServeApp, ServeClient, ServeClientError
 from repro.serve.executor import KernelExecutor, MipsEstimator
+from repro.serve.fleet import FleetConfig, FleetSupervisor
 from repro.serve.jobs import Job, JobQueue
 from repro.serve.server import make_server
 
@@ -247,13 +248,19 @@ class TestBackpressure:
 # Deadlines: structured timeout via the instruction-budget mechanism
 # ----------------------------------------------------------------------
 class TestDeadlines:
+    #: ReproServeApp options selecting the executor under test.
+    APP = {}
+
+    def make_executor(self, queue):
+        return KernelExecutor(queue, workers=1)
+
     def test_deadline_expiry_returns_structured_timeout(self):
         # The deadline must stop the run through its budget cap, not
         # lapse while the job is still queued (that answer carries no
         # instruction count).  A low MIPS estimate turns a 5 s deadline
         # into a cap of ~5,000 instructions, well under the 20,271 that
         # gemm/float16/auto retires, with seconds to spare.
-        with serving(workers=1) as (app, client):
+        with serving(workers=1, **self.APP) as (app, client):
             app.executor._estimator = MipsEstimator(initial=0.001)
             with pytest.raises(ServeClientError) as info:
                 client.run_kernel("gemm", "float16", "auto", seed=11,
@@ -264,7 +271,7 @@ class TestDeadlines:
             assert client.metrics()["timeouts"] == 1
 
     def test_deadline_capped_run_is_not_cached(self):
-        with serving(workers=1) as (app, client):
+        with serving(workers=1, **self.APP) as (app, client):
             with pytest.raises(ServeClientError):
                 client.run_kernel("gemm", seed=12, deadline_ms=1)
             # The same point without a deadline must execute fresh --
@@ -274,7 +281,8 @@ class TestDeadlines:
             assert response["result"]["status"] == "ok"
 
     def test_server_default_deadline_applies(self):
-        with serving(workers=1, default_deadline_ms=1) as (app, client):
+        with serving(workers=1, default_deadline_ms=1,
+                     **self.APP) as (app, client):
             with pytest.raises(ServeClientError) as info:
                 client.run_kernel("gemm", seed=13)
             assert info.value.error_type == "deadline_exceeded"
@@ -283,7 +291,7 @@ class TestDeadlines:
         # Executor-level determinism: a job whose deadline passed
         # before a worker picked it up times out without running.
         queue = JobQueue(max_depth=4)
-        executor = KernelExecutor(queue, workers=1)
+        executor = self.make_executor(queue)
         job = Job(SweepPoint("gemm", "float16", "auto"),
                   deadline_at=time.monotonic() - 0.1)
         queue.submit(job)
@@ -294,7 +302,7 @@ class TestDeadlines:
 
     def test_budget_cap_derives_from_mips_estimate(self):
         queue = JobQueue(max_depth=1)
-        executor = KernelExecutor(queue, workers=1)
+        executor = self.make_executor(queue)
         point = SweepPoint("gemm", "float16", "auto")
         assert executor.budget_for(point, None) == point.instruction_budget
         capped = executor.budget_for(point, 0.001)
@@ -302,6 +310,17 @@ class TestDeadlines:
         assert capped >= 1_000  # MIN_DEADLINE_BUDGET floor
         queue.close()
         executor.drain(timeout=5.0)
+
+
+class TestFleetDeadlines(TestDeadlines):
+    """The same deadline rules through a one-worker fleet, which
+    settles its jobs through the thread executor's code."""
+
+    CONFIG = FleetConfig(backoff_base=0.01, backoff_cap=0.1)
+    APP = {"worker_processes": 1, "fleet_config": CONFIG}
+
+    def make_executor(self, queue):
+        return FleetSupervisor(queue, workers=1, config=self.CONFIG)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.absint import AbsintConfig
 from repro.analysis.lints import LintConfig
+from repro.harness import runner
 from repro.harness.runner import SafeRunOutcome
 from repro.serve import ReproServeApp, ServeClient, ServeClientError
 from repro.serve.schema import RequestValidationError, parse_kernel_request
@@ -133,6 +134,31 @@ class TestAdmissionGate:
             app.queue.close()
             app.executor.drain(timeout=10.0)
             app.close()
+
+    def test_verified_execution_compiles_once(self, monkeypatch):
+        # The gate and the run share one compiled program.
+        compiled = []
+        real = runner.compile_source
+
+        def counting(source, **kwargs):
+            compiled.append(source)
+            return real(source, **kwargs)
+
+        monkeypatch.setattr(runner, "compile_source", counting)
+        runner._compile_memo.cache_clear()
+        app = ReproServeApp(workers=1)
+        try:
+            request = parse_kernel_request(kernel_body(verify=True))
+            status, _, payload = app.run_kernel(request)
+            assert status == 200
+            assert payload["served_from"] == "executed"
+            assert payload["result"]["status"] == "ok"
+            assert len(compiled) == 1
+        finally:
+            app.queue.close()
+            app.executor.drain(timeout=10.0)
+            app.close()
+            runner._compile_memo.cache_clear()
 
     def test_unverified_requests_skip_the_gate(self):
         # Even a config that rejects everything is never consulted
